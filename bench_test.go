@@ -29,11 +29,14 @@ import (
 // the result (who wins) is stable even at this reduced scale.
 func benchOptions(seed int64) report.Options {
 	return report.Options{
-		Injections: 25,
-		Seed:       seed,
+		Config:     core.CampaignConfig{Injections: 25, Seed: seed, Workers: 1},
 		Benchmarks: []string{"qsort", "sha"},
-		Workers:    1,
 	}
+}
+
+// resolveTo is a Resolver that hands every cell the same factory.
+func resolveTo(f core.Factory) core.Resolver {
+	return func(string, string) (core.Factory, error) { return f, nil }
 }
 
 // benchFigure runs one classification figure campaign per iteration and
@@ -196,11 +199,11 @@ func BenchmarkEarlyStopAblation(b *testing.B) {
 	}{{"on", false}, {"off", true}} {
 		b.Run("earlystop-"+mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunCampaign(core.CampaignSpec{
-					Benchmark: "sha", Structure: "l1d.data",
-					Masks: masks, Factory: factory, Workers: 1,
+				if _, err := core.RunConfig(core.CampaignConfig{
+					Campaigns:        []core.CampaignCell{{Tool: sims.GeFINX86, Benchmark: "sha", Structure: "l1d.data", Masks: masks}},
+					Workers:          1,
 					DisableEarlyStop: mode.disable,
-				}); err != nil {
+				}, resolveTo(factory), core.Attach{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -240,14 +243,14 @@ func BenchmarkInOrderAblation(b *testing.B) {
 			}
 			var vuln float64
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunCampaign(core.CampaignSpec{
-					Benchmark: "sha", Structure: "rf.int",
-					Masks: masks, Factory: factory, Workers: 1,
-				})
+				res, err := core.RunConfig(core.CampaignConfig{
+					Campaigns: []core.CampaignCell{{Tool: "marss-" + mode.name, Benchmark: "sha", Structure: "rf.int", Masks: masks}},
+					Workers:   1,
+				}, resolveTo(factory), core.Attach{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				vuln = (core.Parser{}).ParseAll(res.Records).Vulnerability()
+				vuln = (core.Parser{}).ParseAll(res[0].Records).Vulnerability()
 			}
 			b.ReportMetric(vuln, "vuln%")
 		})
@@ -293,11 +296,11 @@ func BenchmarkCheckpointAblation(b *testing.B) {
 	}{{"from-boot", false}, {"from-checkpoint", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunCampaign(core.CampaignSpec{
-					Benchmark: "qsort", Structure: "rf.int",
-					Masks: masks, Factory: factory, Workers: 1,
+				if _, err := core.RunConfig(core.CampaignConfig{
+					Campaigns:     []core.CampaignCell{{Tool: sims.MaFINX86, Benchmark: "qsort", Structure: "rf.int", Masks: masks}},
+					Workers:       1,
 					UseCheckpoint: mode.use,
-				}); err != nil {
+				}, resolveTo(factory), core.Attach{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -337,37 +340,35 @@ func BenchmarkMatrixScheduler(b *testing.B) {
 			rows = append(rows, row{tool, bench, factory, golden})
 		}
 	}
-	buildSpecs := func() []core.CampaignSpec {
-		var specs []core.CampaignSpec
-		for _, r := range rows {
-			for _, structure := range []string{"rf.int", "lsq.data"} {
-				entries, bits, ok, err := cache.Geometry(r.tool, r.bench, r.factory, structure)
-				if err != nil || !ok {
-					b.Fatalf("geometry %s/%s: ok=%v err=%v", r.tool, structure, ok, err)
-				}
-				masks, err := fault.Generate(fault.GeneratorSpec{
-					Structure: structure, Entries: entries, BitsPerEntry: bits,
-					MaxCycle: r.golden.Cycles, Model: fault.ModelTransient, Count: 10, Seed: 41,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Golden deliberately nil: each iteration's matrix pays
-				// one memoized golden run per row.
-				specs = append(specs, core.CampaignSpec{
-					Tool: r.tool, Benchmark: r.bench, Structure: structure,
-					Masks: masks, Factory: r.factory, TimeoutFactor: 3,
-				})
+	cfg := core.CampaignConfig{TimeoutFactor: 3}
+	for _, r := range rows {
+		for _, structure := range []string{"rf.int", "lsq.data"} {
+			entries, bits, ok, err := cache.Geometry(r.tool, r.bench, r.factory, structure)
+			if err != nil || !ok {
+				b.Fatalf("geometry %s/%s: ok=%v err=%v", r.tool, structure, ok, err)
 			}
+			masks, err := fault.Generate(fault.GeneratorSpec{
+				Structure: structure, Entries: entries, BitsPerEntry: bits,
+				MaxCycle: r.golden.Cycles, Model: fault.ModelTransient, Count: 10, Seed: 41,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg.Campaigns = append(cfg.Campaigns, core.CampaignCell{
+				Tool: r.tool, Benchmark: r.bench, Structure: structure, Masks: masks,
+			})
 		}
-		return specs
 	}
 	for _, workers := range []int{1, 8} {
 		b.Run(benchName("workers", workers), func(b *testing.B) {
 			var runs int
 			var cycles uint64
+			cfg := cfg
+			cfg.Workers = workers
 			for i := 0; i < b.N; i++ {
-				results, err := core.RunMatrix(buildSpecs(), core.MatrixOptions{Workers: workers})
+				// No golden cache attached: each iteration's matrix pays one
+				// memoized golden run per row.
+				results, err := core.RunConfig(cfg, sims.Resolve, core.Attach{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -409,26 +410,22 @@ func BenchmarkMatrixSchedulerTelemetry(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	buildSpecs := func() []core.CampaignSpec {
-		var specs []core.CampaignSpec
-		for _, structure := range []string{"rf.int", "lsq.data"} {
-			entries, bits, ok, err := cache.Geometry(sims.GeFINX86, "qsort", factory, structure)
-			if err != nil || !ok {
-				b.Fatalf("geometry %s: ok=%v err=%v", structure, ok, err)
-			}
-			masks, err := fault.Generate(fault.GeneratorSpec{
-				Structure: structure, Entries: entries, BitsPerEntry: bits,
-				MaxCycle: golden.Cycles, Model: fault.ModelTransient, Count: 10, Seed: 41,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			specs = append(specs, core.CampaignSpec{
-				Tool: sims.GeFINX86, Benchmark: "qsort", Structure: structure,
-				Masks: masks, Factory: factory, TimeoutFactor: 3,
-			})
+	cfg := core.CampaignConfig{TimeoutFactor: 3, Workers: 8}
+	for _, structure := range []string{"rf.int", "lsq.data"} {
+		entries, bits, ok, err := cache.Geometry(sims.GeFINX86, "qsort", factory, structure)
+		if err != nil || !ok {
+			b.Fatalf("geometry %s: ok=%v err=%v", structure, ok, err)
 		}
-		return specs
+		masks, err := fault.Generate(fault.GeneratorSpec{
+			Structure: structure, Entries: entries, BitsPerEntry: bits,
+			MaxCycle: golden.Cycles, Model: fault.ModelTransient, Count: 10, Seed: 41,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.Campaigns = append(cfg.Campaigns, core.CampaignCell{
+			Tool: sims.GeFINX86, Benchmark: "qsort", Structure: structure, Masks: masks,
+		})
 	}
 	for _, mode := range []struct {
 		name string
@@ -436,13 +433,13 @@ func BenchmarkMatrixSchedulerTelemetry(b *testing.B) {
 	}{{"bare", false}, {"collector+trace", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := core.MatrixOptions{Workers: 8}
+				var att core.Attach
 				if mode.tel {
 					collector := telemetry.New()
 					collector.AddSink(telemetry.NewTraceSink())
-					opts.Telemetry = collector
+					att.Telemetry = collector
 				}
-				if _, err := core.RunMatrix(buildSpecs(), opts); err != nil {
+				if _, err := core.RunConfig(cfg, resolveTo(factory), att); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -490,50 +487,23 @@ func BenchmarkDataArrayAblation(b *testing.B) {
 // >=2x wall-clock speedup (results/BENCH_prune.json records the
 // measured pair).
 func BenchmarkPruneAblation(b *testing.B) {
-	w, err := workload.ByName("qsort")
-	if err != nil {
-		b.Fatal(err)
-	}
-	factory, err := sims.Factory(sims.GeFINX86, w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache := core.NewGoldenCache()
-	golden, err := cache.Golden(sims.GeFINX86, "qsort", factory)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buildSpecs := func() []core.CampaignSpec {
-		var specs []core.CampaignSpec
-		for _, structure := range []string{"l1d.data", "l2.data"} {
-			entries, bits, ok, err := cache.Geometry(sims.GeFINX86, "qsort", factory, structure)
-			if err != nil || !ok {
-				b.Fatalf("geometry %s: ok=%v err=%v", structure, ok, err)
-			}
-			masks, err := fault.Generate(fault.GeneratorSpec{
-				Structure: structure, Entries: entries, BitsPerEntry: bits,
-				MaxCycle: golden.Cycles, Model: fault.ModelTransient, Count: 40, Seed: 17,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			specs = append(specs, core.CampaignSpec{
-				Tool: sims.GeFINX86, Benchmark: "qsort", Structure: structure,
-				Masks: masks, Factory: factory, TimeoutFactor: 3, Golden: &golden,
-			})
-		}
-		return specs
+	cfg := core.CampaignConfig{
+		Campaigns: []core.CampaignCell{
+			{Tool: sims.GeFINX86, Benchmark: "qsort", Structure: "l1d.data"},
+			{Tool: sims.GeFINX86, Benchmark: "qsort", Structure: "l2.data"},
+		},
+		Injections: 40, Seed: 17, TimeoutFactor: 3, Workers: 4,
 	}
 	for _, mode := range []struct {
 		name  string
 		prune bool
 	}{{"unpruned", false}, {"pruned", true}} {
 		b.Run(mode.name, func(b *testing.B) {
+			cfg := cfg
+			cfg.Prune = mode.prune
 			var runs, prunedRuns int
 			for i := 0; i < b.N; i++ {
-				results, err := core.RunMatrix(buildSpecs(), core.MatrixOptions{
-					Workers: 4, Prune: mode.prune,
-				})
+				results, err := core.RunConfig(cfg, sims.Resolve, core.Attach{Golden: warmCache(b, cfg, sims.Resolve)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -557,49 +527,46 @@ func BenchmarkPruneAblation(b *testing.B) {
 	}
 }
 
+// warmCache returns a fresh golden cache already holding the golden
+// reference of every row of cfg, built with the benchmark timer stopped:
+// the timed campaign pays no golden run but still plans its own
+// checkpoints and prune profiles.
+func warmCache(b *testing.B, cfg core.CampaignConfig, resolve core.Resolver) *core.GoldenCache {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	cache := core.NewGoldenCache()
+	for _, c := range cfg.Campaigns {
+		f, err := resolve(c.Tool, c.Benchmark)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cache.Golden(c.Tool, c.Benchmark, f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return cache
+}
+
 // BenchmarkCheckpointLadder measures the checkpoint ladder against the
 // legacy single earliest-fault checkpoint on a campaign whose faults
 // are spread over the whole run: the single checkpoint sits at the
 // earliest fault (helping nobody else), while the ladder gives every
 // run the highest rung below its own first fault.
 func BenchmarkCheckpointLadder(b *testing.B) {
-	w, err := workload.ByName("qsort")
-	if err != nil {
-		b.Fatal(err)
-	}
-	factory, err := sims.Factory(sims.GeFINX86, w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	golden, err := core.Golden(factory)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim := factory()
-	arr := sim.Structures()["rf.int"]
-	masks, err := fault.Generate(fault.GeneratorSpec{
-		Structure: "rf.int", Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry(),
-		MaxCycle: golden.Cycles, Model: fault.ModelTransient, Count: 30, Seed: 23,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := func() []core.CampaignSpec {
-		return []core.CampaignSpec{{
-			Tool: sims.GeFINX86, Benchmark: "qsort", Structure: "rf.int",
-			Masks: masks, Factory: factory, TimeoutFactor: 3, Golden: &golden,
-			UseCheckpoint: true,
-		}}
+	cfg := core.CampaignConfig{
+		Campaigns:  []core.CampaignCell{{Tool: sims.GeFINX86, Benchmark: "qsort", Structure: "rf.int"}},
+		Injections: 30, Seed: 23, TimeoutFactor: 3, Workers: 4, UseCheckpoint: true,
 	}
 	for _, mode := range []struct {
 		name   string
 		ladder int
 	}{{"single-checkpoint", 0}, {"ladder-6", 6}} {
 		b.Run(mode.name, func(b *testing.B) {
+			cfg := cfg
+			cfg.CheckpointLadder = mode.ladder
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunMatrix(spec(), core.MatrixOptions{
-					Workers: 4, CheckpointLadder: mode.ladder,
-				}); err != nil {
+				if _, err := core.RunConfig(cfg, sims.Resolve, core.Attach{Golden: warmCache(b, cfg, sims.Resolve)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -682,23 +649,20 @@ func BenchmarkGoldenProfileOverhead(b *testing.B) {
 // drift cancels out of the ratio (results/BENCH_window.json records the
 // measured set).
 func BenchmarkDetailWindow(b *testing.B) {
-	buildSpecs, _ := windowedCampaign(b)
-	run := func(window, reference bool) uint64 {
-		var runs uint64
-		opt := core.MatrixOptions{
-			Workers: 4, Telemetry: telemetry.New(),
-			Prune: true, CheckpointLadder: 3,
-		}
+	base := windowedCampaign()
+	config := func(window, reference bool) core.CampaignConfig {
+		cfg := base
 		if window {
-			opt.DetailWindow = true
-			opt.WindowPre = 2000
-			opt.WindowPost = 1000
+			cfg.DetailWindow, cfg.WindowPre, cfg.WindowPost = true, 2000, 1000
 		}
 		if reference {
-			opt.FFRungs = -1
-			opt.NoDecodeCache = true
+			cfg.FFRungs, cfg.NoDecodeCache = -1, true
 		}
-		results, err := core.RunMatrix(buildSpecs(), opt)
+		return cfg
+	}
+	run := func(cfg core.CampaignConfig, col *telemetry.Collector) uint64 {
+		var runs uint64
+		results, err := core.RunConfig(cfg, sims.Resolve, core.Attach{Golden: warmCache(b, cfg, sims.Resolve), Telemetry: col})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -718,30 +682,19 @@ func BenchmarkDetailWindow(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				col := telemetry.New()
-				opt := core.MatrixOptions{
-					Workers: 4, Telemetry: col,
-					Prune: true, CheckpointLadder: 3,
-				}
-				if mode.window {
-					opt.DetailWindow = true
-					opt.WindowPre = 2000
-					opt.WindowPost = 1000
-				}
-				results, err := core.RunMatrix(buildSpecs(), opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, res := range results {
-					runs += uint64(len(res.Records))
-				}
+				runs += run(config(mode.window, false), col)
 				snap = col.Snapshot()
 				if mode.window {
 					// The interleaved reference pair: the same windowed
 					// matrix with both functional-tier optimisations
 					// disabled, untimed.
+					ref := config(true, true)
+					cache := warmCache(b, ref, sims.Resolve)
 					b.StopTimer()
 					start := time.Now()
-					run(true, true)
+					if _, err := core.RunConfig(ref, sims.Resolve, core.Attach{Golden: cache, Telemetry: telemetry.New()}); err != nil {
+						b.Fatal(err)
+					}
 					refTime += time.Since(start)
 					b.StartTimer()
 				}
@@ -760,57 +713,19 @@ func BenchmarkDetailWindow(b *testing.B) {
 	}
 }
 
-// windowedCampaign builds the detail-window benchmark matrix:
-// register-file and L1D transients remapped onto the live-entry
-// population so the liveness pruner cannot settle most of them at plan
-// time. The builder regenerates fresh specs per iteration; the returned
-// cache memoizes the golden run, live entries, ladder, and the
-// divergence commit signature across iterations.
-func windowedCampaign(b *testing.B) (func() []core.CampaignSpec, *core.GoldenCache) {
-	b.Helper()
-	w, err := workload.ByName("qsort")
-	if err != nil {
-		b.Fatal(err)
+// windowedCampaign is the detail-window benchmark matrix: register-file
+// and L1D transients remapped onto the live-entry population (LiveOnly)
+// so the liveness pruner cannot settle most of them at plan time, with
+// pruning and a checkpoint ladder on. Callers add the window knobs.
+func windowedCampaign() core.CampaignConfig {
+	return core.CampaignConfig{
+		Campaigns: []core.CampaignCell{
+			{Tool: sims.GeFINX86, Benchmark: "qsort", Structure: "rf.int"},
+			{Tool: sims.GeFINX86, Benchmark: "qsort", Structure: "l1d.data"},
+		},
+		Injections: 60, Seed: 29, LiveOnly: true, TimeoutFactor: 3, Workers: 4,
+		UseCheckpoint: true, CheckpointLadder: 3, Prune: true,
 	}
-	factory, err := sims.Factory(sims.GeFINX86, w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache := core.NewGoldenCache()
-	golden, err := cache.Golden(sims.GeFINX86, "qsort", factory)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim := factory()
-	buildSpecs := func() []core.CampaignSpec {
-		var specs []core.CampaignSpec
-		for _, structure := range []string{"rf.int", "l1d.data"} {
-			arr := sim.Structures()[structure]
-			masks, err := fault.Generate(fault.GeneratorSpec{
-				Structure: structure, Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry(),
-				MaxCycle: golden.Cycles, Model: fault.ModelTransient, Count: 60, Seed: 29,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			live, err := cache.LiveEntries(sims.GeFINX86, "qsort", factory, structure)
-			if err != nil || len(live) == 0 {
-				b.Fatalf("live entries for %s: %d (%v)", structure, len(live), err)
-			}
-			for mi := range masks {
-				for si := range masks[mi].Sites {
-					masks[mi].Sites[si].Entry = live[masks[mi].Sites[si].Entry%len(live)]
-				}
-			}
-			specs = append(specs, core.CampaignSpec{
-				Tool: sims.GeFINX86, Benchmark: "qsort", Structure: structure,
-				Masks: masks, Factory: factory, TimeoutFactor: 3, Golden: &golden,
-				UseCheckpoint: true,
-			})
-		}
-		return specs
-	}
-	return buildSpecs, cache
 }
 
 // BenchmarkDetailWindowDivergence measures the cost of divergence
@@ -821,20 +736,18 @@ func windowedCampaign(b *testing.B) (func() []core.CampaignSpec, *core.GoldenCac
 // mismatching block, so the acceptance bar is <5% overhead
 // (results/BENCH_divergence.json records the measured pair).
 func BenchmarkDetailWindowDivergence(b *testing.B) {
-	buildSpecs, cache := windowedCampaign(b)
+	cfg := windowedCampaign()
+	cfg.DetailWindow, cfg.WindowPre, cfg.WindowPost = true, 2000, 1000
+	cache := core.NewGoldenCache()
 	run := func(div bool) uint64 {
 		var runs uint64
-		opt := core.MatrixOptions{
-			Workers: 4, Telemetry: telemetry.New(), Golden: cache,
-			Prune: true, CheckpointLadder: 3,
-			DetailWindow: true, WindowPre: 2000, WindowPost: 1000,
-		}
+		att := core.Attach{Golden: cache, Telemetry: telemetry.New()}
 		var sink *divergence.Sink
 		if div {
 			sink = divergence.NewSink()
-			opt.Divergence = sink
+			att.Divergence = sink
 		}
-		results, err := core.RunMatrix(buildSpecs(), opt)
+		results, err := core.RunConfig(cfg, sims.Resolve, att)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -848,8 +761,9 @@ func BenchmarkDetailWindowDivergence(b *testing.B) {
 		}
 		return runs
 	}
-	// Warm the memoizer (golden run, live entries, ladder, commit
-	// signature) outside any timed region so neither mode pays it.
+	// Warm the memoizer (golden run, live entries, ladder, prune
+	// profiles, commit signature) outside any timed region so neither
+	// mode pays it.
 	run(true)
 	b.Run("window", func(b *testing.B) {
 		var runs uint64
@@ -932,16 +846,14 @@ func BenchmarkInterpDispatch(b *testing.B) {
 // golden memoizer is shared, so the pair differs only in the entry
 // trajectory (results/BENCH_interp.json records the measured pair).
 func BenchmarkWindowEntryLadder(b *testing.B) {
-	buildSpecs, cache := windowedCampaign(b)
+	base := windowedCampaign()
+	base.DetailWindow, base.WindowPre, base.WindowPost = true, 2000, 1000
+	cache := core.NewGoldenCache()
 	run := func(ffRungs int) uint64 {
 		var runs uint64
-		opt := core.MatrixOptions{
-			Workers: 4, Telemetry: telemetry.New(), Golden: cache,
-			Prune: true, CheckpointLadder: 3,
-			DetailWindow: true, WindowPre: 2000, WindowPost: 1000,
-			FFRungs: ffRungs,
-		}
-		results, err := core.RunMatrix(buildSpecs(), opt)
+		cfg := base
+		cfg.FFRungs = ffRungs
+		results, err := core.RunConfig(cfg, sims.Resolve, core.Attach{Golden: cache, Telemetry: telemetry.New()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -950,8 +862,8 @@ func BenchmarkWindowEntryLadder(b *testing.B) {
 		}
 		return runs
 	}
-	// Warm the memoizer (golden run, live entries, ladder) outside any
-	// timed region so neither mode pays it.
+	// Warm the memoizer (golden run, live entries, ladder, prune
+	// profiles) outside any timed region so neither mode pays it.
 	run(-1)
 	for _, mode := range []struct {
 		name  string

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/divergence"
 	"repro/internal/report"
 )
 
@@ -62,25 +63,51 @@ func main() {
 	}
 	defer obs.Close()
 
-	// The shared campaign knobs arrive through the consolidated config
-	// API; the figure specs supply the cells later, so the knob
-	// cross-rules (stop margin domain, exhaustive/importance-sampling
-	// exclusions) are validated against a representative probe cell.
-	cfg := cf.Apply(nil)
-	probe := cfg
-	probe.Campaigns = []core.CampaignCell{{Tool: "gefin-x86", Benchmark: "qsort", Structure: "rf.int"}}
-	if err := probe.Validate(); err != nil {
-		fatal(err)
+	if *all {
+		figs = nil
+		for _, f := range report.Figures {
+			figs = append(figs, f.ID)
+		}
 	}
-	opt := report.OptionsFromConfig(cfg)
-	opt.Parser = core.Parser{GroupSimCrashWithAssert: *groupSim}
-	opt.Telemetry = obs.Collector
-	opt.ProgressEvery = tf.ProgressEvery
+	specs := make([]report.FigureSpec, 0, len(figs))
+	for _, id := range figs {
+		spec, err := report.FigureByID(id)
+		if err != nil {
+			fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+
+	// The shared campaign knobs arrive as the same CampaignConfig every
+	// other entry point runs; the report derives one cell per {figure,
+	// benchmark, tool} and the whole matrix is validated before anything
+	// prints.
+	opt := report.Options{
+		Config:        cf.Apply(nil),
+		Attach:        core.Attach{Telemetry: obs.Collector},
+		Parser:        core.Parser{GroupSimCrashWithAssert: *groupSim},
+		ProgressEvery: tf.ProgressEvery,
+	}
 	if *benchCSV != "" {
 		opt.Benchmarks = strings.Split(*benchCSV, ",")
 	}
 	if *toolCSV != "" {
 		opt.Tools = strings.Split(*toolCSV, ",")
+	}
+	runFigures := len(specs) > 0 && *fromLogs == ""
+	if runFigures {
+		if err := opt.Validate(specs); err != nil {
+			fatal(err)
+		}
+	}
+	var dsink *divergence.Sink
+	if opt.Config.Divergence {
+		dsink = divergence.NewSink()
+		opt.Attach.Divergence = dsink
+	}
+	if obs.Tracer != nil {
+		opt.Attach.Tracer = obs.Tracer
+		opt.Attach.SpanWorker = "local"
 	}
 	if *logsDir != "" {
 		repo, err := core.NewLogsRepo(*logsDir)
@@ -89,8 +116,8 @@ func main() {
 		}
 		opt.Logs = repo
 	}
-	if obs.Trace != nil && opt.Logs == nil {
-		fatal(fmt.Errorf("-trace requires -logs (the trace lives in the logs repository)"))
+	if (obs.Trace != nil || obs.Tracer != nil) && opt.Logs == nil {
+		fatal(fmt.Errorf("-trace and -spans require -logs (the traces live in the logs repository)"))
 	}
 	var progress io.Writer = os.Stderr
 	if tf.Quiet {
@@ -125,20 +152,6 @@ func main() {
 		fmt.Println()
 	}
 
-	if *all {
-		figs = nil
-		for _, f := range report.Figures {
-			figs = append(figs, f.ID)
-		}
-	}
-	specs := make([]report.FigureSpec, 0, len(figs))
-	for _, id := range figs {
-		spec, err := report.FigureByID(id)
-		if err != nil {
-			fatal(err)
-		}
-		specs = append(specs, spec)
-	}
 	var datasets []*report.FigureData
 	if *fromLogs != "" {
 		repo, err := core.NewLogsRepo(*fromLogs)
@@ -152,7 +165,7 @@ func main() {
 			}
 			datasets = append(datasets, fd)
 		}
-	} else if len(specs) > 0 {
+	} else if runFigures {
 		// All requested figures run as one flattened campaign matrix:
 		// one shared worker pool, one golden run per {tool, benchmark}.
 		var err error
@@ -166,6 +179,22 @@ func main() {
 		}
 		if tracePath != "" {
 			fmt.Fprintf(os.Stderr, "trace: %s (%d records)\n", tracePath, obs.Trace.Len())
+		}
+		spansPath, err := obs.FlushSpans(opt.Logs, "matrix")
+		if err != nil {
+			fatal(err)
+		}
+		if spansPath != "" {
+			fmt.Fprintf(os.Stderr, "spans: %s\n", spansPath)
+		}
+		if opt.Logs != nil {
+			divPath, err := cli.FlushDivergence(dsink, opt.Logs, "matrix")
+			if err != nil {
+				fatal(err)
+			}
+			if divPath != "" {
+				fmt.Fprintf(os.Stderr, "divergence: %s (%d records)\n", divPath, dsink.Len())
+			}
 		}
 	}
 	if _, err := obs.Finish(tf); err != nil {

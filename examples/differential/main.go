@@ -3,7 +3,8 @@
 // (MaFIN on the MARSS-like simulator, GeFIN on the Gem5-like one),
 // exposing the Remark 3 contrast: MARSS's dual-copy caches, hypervisor
 // syscalls and aggressive load issue mask more L1D faults than Gem5's
-// write-back hierarchy.
+// write-back hierarchy. It runs Figure 3's campaigns through
+// report.RunFigure, whose Options carry the core.CampaignConfig knobs.
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sims"
 )
@@ -22,8 +24,7 @@ func main() {
 	flag.Parse()
 
 	opt := report.Options{
-		Injections: *n,
-		Seed:       42,
+		Config:     core.CampaignConfig{Injections: *n, Seed: 42},
 		Benchmarks: []string{*bench},
 		Tools:      []string{sims.MaFINX86, sims.GeFINX86},
 	}

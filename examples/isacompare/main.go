@@ -5,7 +5,9 @@
 // instruction arrays. The instruction streams genuinely differ
 // (variable- vs fixed-length encoding, two- vs three-operand ALU,
 // flags vs fused compare-and-branch), so the reliability reports differ
-// too — while the program outputs agree bit for bit.
+// too — while the program outputs agree bit for bit. The campaigns run
+// through report.RunFigure, whose Options carry the core.CampaignConfig
+// knobs.
 package main
 
 import (
@@ -14,6 +16,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sims"
 	"repro/internal/workload"
@@ -46,8 +49,7 @@ func main() {
 	}
 
 	opt := report.Options{
-		Injections: *n,
-		Seed:       99,
+		Config:     core.CampaignConfig{Injections: *n, Seed: 99},
 		Benchmarks: []string{*bench},
 		Tools:      []string{sims.GeFINX86, sims.GeFINARM},
 	}

@@ -2,7 +2,8 @@
 // single-bit transient evaluation (§III.A) — permanent and intermittent
 // faults, double-bit faults within one structure, and simultaneous
 // faults in two different structures, all on the same benchmark and
-// tool so the fault models can be compared directly.
+// tool so the fault models can be compared directly. Each study is one
+// explicit-mask cell of a single core.CampaignConfig.
 package main
 
 import (
@@ -13,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sims"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -22,35 +22,31 @@ func main() {
 	tool := flag.String("tool", "gefin-x86", "tool configuration")
 	flag.Parse()
 
-	w, err := workload.ByName(*bench)
+	factory, err := sims.Resolve(*tool, *bench)
 	if err != nil {
 		log.Fatal(err)
 	}
-	factory, err := sims.Factory(*tool, w)
+	// The golden run memoized here is the one the campaigns reuse.
+	cache := core.NewGoldenCache()
+	golden, err := cache.Golden(*tool, *bench, factory)
 	if err != nil {
 		log.Fatal(err)
 	}
-	golden, err := core.Golden(factory)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim := factory()
 	geom := func(name string) (int, int) {
-		arr := sim.Structures()[name]
-		return arr.Entries(), arr.BitsPerEntry()
+		entries, bits, _, err := cache.Geometry(*tool, *bench, factory, name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return entries, bits
 	}
 	l1dE, l1dB := geom("l1d.data")
 	rfE, rfB := geom("rf.int")
 
-	run := func(label string, masks []fault.Mask) {
-		res, err := core.RunCampaign(core.CampaignSpec{
-			Tool: *tool, Benchmark: *bench, Structure: label,
-			Masks: masks, Factory: factory, TimeoutFactor: 3,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-34s %s\n", label, core.Parser{}.ParseAll(res.Records))
+	// Every study is one explicit-mask cell of a single config, labelled
+	// by its campaign name, so all of them share one worker pool.
+	var cells []core.CampaignCell
+	add := func(label string, masks []fault.Mask) {
+		cells = append(cells, core.CampaignCell{Tool: *tool, Benchmark: *bench, Structure: label, Masks: masks})
 	}
 
 	gen := func(structure string, entries, bits int, model fault.Model, sites int, adjacent bool, seed int64) []fault.Mask {
@@ -66,12 +62,11 @@ func main() {
 		return masks
 	}
 
-	fmt.Printf("fault-model study: %s on %s, %d injections each\n\n", *bench, sim.Name(), *n)
-	run("L1D transient single-bit", gen("l1d.data", l1dE, l1dB, fault.ModelTransient, 1, false, 1))
-	run("L1D transient double-bit", gen("l1d.data", l1dE, l1dB, fault.ModelTransient, 2, false, 2))
-	run("L1D transient burst (4 adjacent)", gen("l1d.data", l1dE, l1dB, fault.ModelTransient, 4, true, 7))
-	run("L1D intermittent", gen("l1d.data", l1dE, l1dB, fault.ModelIntermittent, 1, false, 3))
-	run("L1D permanent", gen("l1d.data", l1dE, l1dB, fault.ModelPermanent, 1, false, 4))
+	add("L1D transient single-bit", gen("l1d.data", l1dE, l1dB, fault.ModelTransient, 1, false, 1))
+	add("L1D transient double-bit", gen("l1d.data", l1dE, l1dB, fault.ModelTransient, 2, false, 2))
+	add("L1D transient burst (4 adjacent)", gen("l1d.data", l1dE, l1dB, fault.ModelTransient, 4, true, 7))
+	add("L1D intermittent", gen("l1d.data", l1dE, l1dB, fault.ModelIntermittent, 1, false, 3))
+	add("L1D permanent", gen("l1d.data", l1dE, l1dB, fault.ModelPermanent, 1, false, 4))
 
 	// Simultaneous faults in two structures: pairwise merge of one
 	// L1D population and one register-file population.
@@ -81,5 +76,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run("L1D + rf.int simultaneous", merged)
+	add("L1D + rf.int simultaneous", merged)
+
+	results, err := core.RunConfig(core.CampaignConfig{Campaigns: cells}, sims.Resolve, core.Attach{Golden: cache})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("fault-model study: %s on %s, %d injections each\n\n", *bench, golden.Tool, *n)
+	for i, res := range results {
+		fmt.Printf("%-34s %s\n", cells[i].Structure, core.Parser{}.ParseAll(res.Records))
+	}
 }

@@ -4,7 +4,9 @@
 // machine and measures how the cache's vulnerability scales: smaller
 // caches hold a larger live fraction, so a random fault is more likely
 // to hit program data — structure size is a first-order reliability
-// knob, which is exactly why early design-stage injection matters.
+// knob, which is exactly why early design-stage injection matters. The
+// sweep is one core.CampaignConfig with a cell per cache size; a
+// Resolver closure hands each cell its resized machine.
 package main
 
 import (
@@ -14,7 +16,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/gem5"
 	"repro/internal/workload"
 )
@@ -33,35 +34,31 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("L1D size sweep on GeFIN-x86 / %s (%d transient injections each)\n\n", *bench, *n)
-	fmt.Printf("%8s %10s %10s %10s %8s\n", "L1D", "golden cyc", "masked", "SDC", "vuln")
-	for _, kb := range []int{8, 16, 32, 64} {
+	// One cell per L1D size; the resolver hands each cell the factory of
+	// its resized machine, and the config generates the same transient
+	// population (seed 7) against each golden run.
+	sizes := []int{8, 16, 32, 64}
+	factories := make(map[string]core.Factory, len(sizes))
+	var cells []core.CampaignCell
+	for _, kb := range sizes {
 		cfg := gem5.DefaultConfig(gem5.ISAX86)
 		cfg.L1D.Size = kb << 10
-		factory := func() core.Simulator { return gem5.New(cfg, img) }
+		tool := fmt.Sprintf("gefin-x86-l1d%dk", kb)
+		factories[tool] = func() core.Simulator { return gem5.New(cfg, img) }
+		cells = append(cells, core.CampaignCell{Tool: tool, Benchmark: *bench, Structure: "l1d.data"})
+	}
+	resolve := func(tool, _ string) (core.Factory, error) { return factories[tool], nil }
+	results, err := core.RunConfig(core.CampaignConfig{Campaigns: cells, Injections: *n, Seed: 7}, resolve, core.Attach{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
-		golden, err := core.Golden(factory)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sim := factory()
-		arr := sim.Structures()["l1d.data"]
-		masks, err := fault.Generate(fault.GeneratorSpec{
-			Structure: "l1d.data", Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry(),
-			MaxCycle: golden.Cycles, Model: fault.ModelTransient, Count: *n, Seed: 7,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := core.RunCampaign(core.CampaignSpec{
-			Benchmark: *bench, Structure: "l1d.data", Masks: masks, Factory: factory,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+	fmt.Printf("L1D size sweep on GeFIN-x86 / %s (%d transient injections each)\n\n", *bench, *n)
+	fmt.Printf("%8s %10s %10s %10s %8s\n", "L1D", "golden cyc", "masked", "SDC", "vuln")
+	for i, res := range results {
 		b := core.Parser{}.ParseAll(res.Records)
 		fmt.Printf("%6dKB %10d %9.2f%% %9.2f%% %7.2f%%\n",
-			kb, golden.Cycles, b.Pct(core.ClassMasked), b.Pct(core.ClassSDC), b.Vulnerability())
+			sizes[i], res.Golden.Cycles, b.Pct(core.ClassMasked), b.Pct(core.ClassSDC), b.Vulnerability())
 	}
 	fmt.Println("\n→ halving the cache roughly doubles the live fraction a random fault can hit;")
 	fmt.Println("  capacity vs. vulnerability is the protection trade-off the paper motivates.")

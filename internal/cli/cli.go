@@ -18,19 +18,12 @@ import (
 	"repro/internal/divergence"
 	"repro/internal/sims"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
-// Resolve is the production Resolver: it materializes the simulator
-// factory of a {tool, benchmark} cell through the sims registry and the
-// workload table. Every command hands this to core.RunConfig /
-// core.RunShard; tests substitute fakes.
+// Resolve is the production Resolver (sims.Resolve): every command hands
+// it to core.RunConfig / core.RunShard; tests substitute fakes.
 func Resolve(tool, benchmark string) (core.Factory, error) {
-	w, err := workload.ByName(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	return sims.Factory(tool, w)
+	return sims.Resolve(tool, benchmark)
 }
 
 // CampaignFlags holds the shared campaign-execution knobs after
@@ -102,8 +95,8 @@ func (c *CampaignFlags) Config(cells []core.CampaignCell) (core.CampaignConfig, 
 }
 
 // Apply binds the parsed flags onto a CampaignConfig without
-// validating; for callers (figures) that consume the shared knobs but
-// derive their own campaign cells later.
+// validating; figures uses it, since report.Options derives the cells
+// (one per {figure, benchmark, tool}) and validates the whole matrix.
 func (c *CampaignFlags) Apply(cells []core.CampaignCell) core.CampaignConfig {
 	cfg := core.CampaignConfig{
 		Campaigns:        cells,

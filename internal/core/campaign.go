@@ -46,9 +46,10 @@ type LogRecord struct {
 	Weight float64 `json:"weight,omitempty"`
 }
 
-// CampaignSpec describes one injection campaign: one tool, one benchmark,
-// one structure, a set of fault masks, and the factory that boots a fresh
-// simulator instance per run.
+// CampaignSpec is one materialized cell of a CampaignConfig: one tool,
+// one benchmark, one structure, its fault masks, and the factory that
+// boots a fresh simulator instance per run. CampaignConfig.BuildSpecs
+// returns them; RunConfig and RunShard schedule them.
 type CampaignSpec struct {
 	Tool      string
 	Benchmark string
@@ -58,8 +59,6 @@ type CampaignSpec struct {
 	// TimeoutFactor multiplies the fault-free cycle count to form the
 	// per-run cycle limit; the paper uses 3.
 	TimeoutFactor uint64
-	// Workers sets the worker pool size; 0 means GOMAXPROCS.
-	Workers int
 	// DisableEarlyStop turns off the §III.B optimizations (ablation).
 	DisableEarlyStop bool
 	// UseCheckpoint enables checkpoint-based prefix sharing: the
@@ -69,12 +68,6 @@ type CampaignSpec struct {
 	// drained pipeline at the checkpoint, which can shift borderline
 	// outcomes relative to boot-runs of the same masks.
 	UseCheckpoint bool
-	// Golden, when non-nil, is a precomputed fault-free reference for
-	// this campaign's {tool, benchmark} (typically memoized in a
-	// GoldenCache); the controller uses it instead of performing its own
-	// golden run. Benchmark/Structure/Tool fields are overwritten from
-	// the spec.
-	Golden *GoldenInfo
 	// Exhaustive marks a cell whose mask set enumerates the collapsed
 	// equivalence-class space of the whole fault population (one
 	// representative per liveness interval, cycle-mass weighted); the
@@ -145,9 +138,11 @@ func goldenRun(f Factory) (GoldenInfo, Simulator, error) {
 	}, sim, nil
 }
 
-// RunOne executes a single injection run against a fresh simulator.
+// RunOne executes a single injection run against a fresh simulator,
+// booted from scratch — the serial reference the scheduled paths are
+// checked against.
 func RunOne(f Factory, m fault.Mask, golden GoldenInfo, timeoutFactor uint64, earlyStop bool) (LogRecord, error) {
-	return RunOneFrom(f, nil, 0, m, golden, timeoutFactor, earlyStop)
+	return runInjection(f, nil, m, golden, timeoutFactor, earlyStop, nil, nil, nil)
 }
 
 // minSiteCycle returns the earliest fault activation of the mask. An
@@ -249,27 +244,16 @@ func (s *runStats) gather(watch []*bitarray.Array) {
 	}
 }
 
-// RunOneFrom executes a single injection run, seeding the machine from
-// checkpoint cp (taken at cpCycle) when every fault of the mask starts
-// beyond it.
-func RunOneFrom(f Factory, cp any, cpCycle uint64, m fault.Mask, golden GoldenInfo, timeoutFactor uint64, earlyStop bool) (LogRecord, error) {
-	var rungs []LadderRung
-	if cp != nil {
-		rungs = []LadderRung{{State: cp, Cycle: cpCycle}}
-	}
-	return runInjection(f, rungs, m, golden, timeoutFactor, earlyStop, nil, nil, nil)
-}
-
-// runInjection is RunOneFrom plus optional telemetry gathering; stats is
-// nil when no collector is attached, keeping the uninstrumented path
-// identical to the pre-telemetry one. rungs is the (possibly empty)
-// checkpoint ladder of the campaign's row; the run restores the highest
-// rung captured before its earliest fault, or boots from scratch. win,
-// when non-nil on a window-capable simulator, turns on detail-window
-// execution: the run fast-forwards to just before its earliest fault on
-// the functional tier, simulates cycle-accurately only until the fault
-// provably settles (or, for win.noExit, to the end — the verify mode),
-// and finishes functionally.
+// runInjection executes one injection run with optional telemetry
+// gathering; stats is nil when no collector is attached, keeping the
+// uninstrumented path identical to the pre-telemetry one. rungs is the
+// (possibly empty) checkpoint ladder of the campaign's row; the run
+// restores the highest rung captured before its earliest fault, or
+// boots from scratch. win, when non-nil on a window-capable simulator,
+// turns on detail-window execution: the run fast-forwards to just before
+// its earliest fault on the functional tier, simulates cycle-accurately
+// only until the fault provably settles (or, for win.noExit, to the end
+// — the verify mode), and finishes functionally.
 func runInjection(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo, timeoutFactor uint64, earlyStop bool, win *windowConfig, ff *ffLadder, stats *runStats) (LogRecord, error) {
 	sim := f()
 	wi, _ := sim.(Windower)
@@ -443,18 +427,3 @@ func runInjection(f Factory, rungs []LadderRung, m fault.Mask, golden GoldenInfo
 // memReleaser is the optional boot-pool hook of a simulator: a machine
 // that can hand its RAM back for recycling once a run is over.
 type memReleaser interface{ ReleaseMemory() }
-
-// RunCampaign is the injection campaign controller: it resolves the
-// golden reference (running it unless spec.Golden supplies a memoized
-// one), then dispatches every mask to a worker pool of simulator
-// instances and collects the logs in mask order. It is the
-// single-campaign case of the matrix scheduler, so a failing worker
-// cancels the pool promptly and the error of the earliest failing mask
-// is returned deterministically.
-func RunCampaign(spec CampaignSpec) (*CampaignResult, error) {
-	results, err := RunMatrix([]CampaignSpec{spec}, MatrixOptions{Workers: spec.Workers})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}

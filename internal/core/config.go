@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -57,11 +58,11 @@ type CampaignCell struct {
 }
 
 // CampaignConfig is the consolidated, validated description of an
-// injection campaign matrix — the one public knob surface that replaces
-// the MatrixOptions/CampaignSpec sprawl (and the per-CLI flag wiring on
-// top of it). The same value drives local execution (RunConfig), shard
-// execution on a remote worker (RunShard), and the coordinator's
-// planning; it serializes as JSON for the wire and for config files.
+// injection campaign matrix — the one public knob surface of the
+// campaign engine. The same value drives local execution (RunConfig),
+// shard execution on a remote worker (RunShard), the coordinator's
+// planning and the figure harness; it serializes as JSON for the wire
+// and for config files.
 //
 // Everything in a CampaignConfig is portable: process-local resources
 // (golden caches, telemetry collectors, journals) attach separately via
@@ -376,10 +377,14 @@ type Attach struct {
 	Golden *GoldenCache
 	// Telemetry receives the run-end event stream; nil costs nothing.
 	Telemetry *telemetry.Collector
-	// Journal receives one fsync'd line per completed run; Resume loads
-	// completed masks from it instead of re-simulating. RunShard ignores
-	// both — in a distributed campaign the coordinator owns the journal
-	// as the exactly-once completion ledger.
+	// Journal receives one fsync'd line per completed run before the
+	// worker moves on; verify re-runs and plan-settled (pruned) masks are
+	// not journaled — the former never enter the results, the latter are
+	// replayed from the deterministic plan. Resume loads completed masks
+	// from it instead of re-simulating, leaving records and trace
+	// byte-identical to an uninterrupted run. RunShard ignores both — in
+	// a distributed campaign the coordinator owns the journal as the
+	// exactly-once completion ledger.
 	Journal *fault.Journal
 	Resume  bool
 	// Divergence receives the per-mask provenance records when the
@@ -391,33 +396,6 @@ type Attach struct {
 	Tracer      *telemetry.Tracer
 	TraceParent string
 	SpanWorker  string
-}
-
-func (c CampaignConfig) matrixOptions(att Attach, cache *GoldenCache) MatrixOptions {
-	return MatrixOptions{
-		Workers:          c.Workers,
-		Golden:           cache,
-		Telemetry:        att.Telemetry,
-		Prune:            c.Prune || c.Exhaustive,
-		PruneVerify:      c.PruneVerify,
-		CheckpointLadder: c.CheckpointLadder,
-		Journal:          att.Journal,
-		Resume:           att.Resume,
-		RunWallLimit:     c.RunWallLimit,
-		DetailWindow:     c.DetailWindow,
-		WindowPre:        c.WindowPre,
-		WindowPost:       c.WindowPost,
-		WindowVerify:     c.WindowVerify,
-		FFRungs:          c.FFRungs,
-		NoDecodeCache:    c.NoDecodeCache,
-		Divergence:       att.Divergence,
-		Tracer:           att.Tracer,
-		TraceParent:      att.TraceParent,
-		SpanWorker:       att.SpanWorker,
-		StopMargin:       c.StopMargin,
-		StopConfidence:   c.StopConfidence,
-		StopCheckEvery:   c.StopCheckEvery,
-	}
 }
 
 // buildSpec materializes the scheduler spec of cell i: the factory from
@@ -532,12 +510,47 @@ func RunConfig(cfg CampaignConfig, resolve Resolver, att Attach) ([]*CampaignRes
 	if cache == nil {
 		cache = NewGoldenCache()
 	}
+	cfg.prewarmGoldens(resolve, cache)
 	specs, err := cfg.BuildSpecs(resolve, cache)
 	if err != nil {
 		return nil, err
 	}
-	results, _, err := runMatrix(specs, cfg.matrixOptions(att, cache), nil)
+	results, _, err := runMatrix(cfg, specs, att, cache, nil)
 	return results, err
+}
+
+// prewarmGoldens runs the golden reference of every distinct {tool,
+// benchmark} row of the config in parallel, at most cfg.Workers at a
+// time, so rows don't serialize behind the first cell that needs each.
+// Errors stay memoized in the cache and surface, in deterministic cell
+// order, when the specs are built and scheduled.
+func (c CampaignConfig) prewarmGoldens(resolve Resolver, cache *GoldenCache) {
+	workers := c.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	seen := make(map[goldenKey]bool)
+	for _, cell := range c.Campaigns {
+		key := goldenKey{cell.Tool, cell.Benchmark}
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		factory, err := resolve(key.tool, key.bench)
+		if err != nil {
+			continue // buildSpec reports it in cell order
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			_, _ = cache.Golden(key.tool, key.bench, factory)
+		}()
+	}
+	wg.Wait()
 }
 
 // ShardRun is the wire form of one mask of an executed shard: the log
@@ -692,15 +705,14 @@ func RunShard(cfg CampaignConfig, campaign, lo, hi int, resolve Resolver, att At
 	if cfg.Divergence {
 		dsink = divergence.NewSink()
 	}
-	opt := cfg.matrixOptions(Attach{
+	local := Attach{
 		Telemetry:   collector,
 		Divergence:  dsink,
 		Tracer:      att.Tracer,
 		TraceParent: att.TraceParent,
 		SpanWorker:  att.SpanWorker,
-	}, cache)
-
-	results, plans, err := runMatrix([]CampaignSpec{spec}, opt, []maskWindow{{lo, hi}})
+	}
+	results, plans, err := runMatrix(cfg, []CampaignSpec{spec}, local, cache, []maskWindow{{lo, hi}})
 	if err != nil {
 		return nil, err
 	}

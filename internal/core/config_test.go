@@ -128,15 +128,15 @@ func TestCampaignConfigMaskCountAndKeys(t *testing.T) {
 	}
 }
 
-// RunConfig must reproduce the legacy hand-wired path (cache + Generate
-// + RunMatrix with an explicit golden ref) exactly: same masks, same
+// A generated cell must reproduce the hand-wired path (cache + Generate
+// + the same masks as an explicit-mask cell) exactly: same masks, same
 // records, same golden header.
 func TestRunConfigMatchesLegacyPath(t *testing.T) {
 	const tool, bench, structure = sims.GeFINX86, "qsort", "rf.int"
 	const n, seed = 6, int64(42)
 	resolve := simsResolver(t)
 
-	// Legacy path, as cmd/faultcamp wired it before the config API.
+	// Hand-wired path: golden, geometry and masks by hand.
 	f, err := resolve(tool, bench)
 	if err != nil {
 		t.Fatal(err)
@@ -157,10 +157,9 @@ func TestRunConfigMatchesLegacyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := core.RunMatrix([]core.CampaignSpec{{
-		Tool: tool, Benchmark: bench, Structure: structure,
-		Masks: masks, Factory: f, Golden: &golden,
-	}}, core.MatrixOptions{Golden: cache})
+	explicit, err := core.RunConfig(core.CampaignConfig{
+		Campaigns: []core.CampaignCell{{Tool: tool, Benchmark: bench, Structure: structure, Masks: masks}},
+	}, resolve, core.Attach{Golden: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +176,13 @@ func TestRunConfigMatchesLegacyPath(t *testing.T) {
 	if len(got) != 1 || len(got[0].Records) != n {
 		t.Fatalf("RunConfig shape: %d results", len(got))
 	}
-	if !reflect.DeepEqual(got[0].Golden, legacy[0].Golden) {
-		t.Fatalf("golden header differs: %+v vs %+v", got[0].Golden, legacy[0].Golden)
+	if !reflect.DeepEqual(got[0].Golden, explicit[0].Golden) {
+		t.Fatalf("golden header differs: %+v vs %+v", got[0].Golden, explicit[0].Golden)
 	}
-	for i := range legacy[0].Records {
-		l, g := legacy[0].Records[i], got[0].Records[i]
+	for i := range explicit[0].Records {
+		l, g := explicit[0].Records[i], got[0].Records[i]
 		if !reflect.DeepEqual(l, g) {
-			t.Fatalf("record %d differs: legacy %+v config %+v", i, l, g)
+			t.Fatalf("record %d differs: explicit masks %+v generated %+v", i, l, g)
 		}
 	}
 }

@@ -25,10 +25,10 @@ func TestRunMatrixValidatesMasksUpFront(t *testing.T) {
 	factory := countingFactory(&calls)
 	masks := fakeMasks(8)
 	masks[5].Sites[0].Entry = 99 // the fake structure is 8×64
-	_, err := core.RunMatrix([]core.CampaignSpec{{
-		Tool: "fake", Benchmark: "b", Structure: "s",
-		Masks: masks, Factory: factory,
-	}}, core.MatrixOptions{Workers: 4})
+	_, err := core.RunConfig(core.CampaignConfig{
+		Campaigns: []core.CampaignCell{fakeCell("b", masks)},
+		Workers:   4,
+	}, resolveTo(factory), core.Attach{})
 	if err == nil || !strings.Contains(err.Error(), "mask 5") {
 		t.Fatalf("err = %v, want a validation error naming mask 5", err)
 	}
@@ -58,10 +58,10 @@ func TestRunMatrixContainedPanicFirstError(t *testing.T) {
 	masks[9].Sites[0].Bit = 63
 	for _, workers := range []int{1, 2, 8} {
 		col := telemetry.New()
-		_, err := core.RunMatrix([]core.CampaignSpec{{
-			Tool: "fake", Benchmark: "b", Structure: "s",
-			Masks: masks, Factory: factory,
-		}}, core.MatrixOptions{Workers: workers, Telemetry: col})
+		_, err := core.RunConfig(core.CampaignConfig{
+			Campaigns: []core.CampaignCell{fakeCell("b", masks)},
+			Workers:   workers,
+		}, resolveTo(factory), core.Attach{Telemetry: col})
 		if err == nil {
 			t.Fatalf("workers=%d: poisoned campaign succeeded", workers)
 		}
@@ -96,10 +96,10 @@ func TestRunMatrixEscapedAssertBecomesRecord(t *testing.T) {
 	factory := func() core.Simulator { return &assertSim{newFakeSim()} }
 	masks := fakeMasks(6)
 	masks[2].Sites[0].Bit = 62
-	res, err := core.RunMatrix([]core.CampaignSpec{{
-		Tool: "fake", Benchmark: "b", Structure: "s",
-		Masks: masks, Factory: factory,
-	}}, core.MatrixOptions{Workers: 3})
+	res, err := core.RunConfig(core.CampaignConfig{
+		Campaigns: []core.CampaignCell{fakeCell("b", masks)},
+		Workers:   3,
+	}, resolveTo(factory), core.Attach{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +150,10 @@ func TestMatrixJournalResumeCounts(t *testing.T) {
 		col := telemetry.New()
 		trace := telemetry.NewTraceSink()
 		col.AddSink(trace)
-		res, err := core.RunMatrix([]core.CampaignSpec{{
-			Tool: "fake", Benchmark: "b", Structure: "s",
-			Masks: fakeMasks(n), Factory: countingFactory(calls),
-		}}, core.MatrixOptions{Workers: 2, Telemetry: col, Journal: j, Resume: resume})
+		res, err := core.RunConfig(core.CampaignConfig{
+			Campaigns: []core.CampaignCell{fakeCell("b", fakeMasks(n))},
+			Workers:   2,
+		}, resolveTo(countingFactory(calls)), core.Attach{Telemetry: col, Journal: j, Resume: resume})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,25 +206,24 @@ func TestMatrixJournalResumeDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := f()
-	buildSpecs := func() []core.CampaignSpec {
-		var specs []core.CampaignSpec
-		for _, structure := range []string{"rf.int", "l1d.data"} {
-			arr := sim.Structures()[structure]
-			// Enough masks that pruning (heavy on both structures) still
-			// leaves several simulated runs for the journal to hold.
-			masks, err := fault.Generate(fault.GeneratorSpec{
-				Structure: structure, Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry(),
-				MaxCycle: g.Cycles, Model: fault.ModelTransient, Count: 25, Seed: 17,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			specs = append(specs, core.CampaignSpec{
-				Tool: "gefin-x86", Benchmark: "qsort", Structure: structure,
-				Masks: masks, Factory: f, TimeoutFactor: 3, UseCheckpoint: true,
-			})
+	cfg := core.CampaignConfig{
+		TimeoutFactor: 3, UseCheckpoint: true, Workers: 4,
+		Prune: true, PruneVerify: 2, CheckpointLadder: 3,
+	}
+	for _, structure := range []string{"rf.int", "l1d.data"} {
+		arr := sim.Structures()[structure]
+		// Enough masks that pruning (heavy on both structures) still
+		// leaves several simulated runs for the journal to hold.
+		masks, err := fault.Generate(fault.GeneratorSpec{
+			Structure: structure, Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry(),
+			MaxCycle: g.Cycles, Model: fault.ModelTransient, Count: 25, Seed: 17,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return specs
+		cfg.Campaigns = append(cfg.Campaigns, core.CampaignCell{
+			Tool: "gefin-x86", Benchmark: "qsort", Structure: structure, Masks: masks,
+		})
 	}
 	run := func(path string, resume bool) ([]*core.CampaignResult, []byte, telemetry.Snapshot) {
 		j, err := fault.OpenJournal(path)
@@ -235,10 +234,7 @@ func TestMatrixJournalResumeDifferential(t *testing.T) {
 		col := telemetry.New()
 		trace := telemetry.NewTraceSink()
 		col.AddSink(trace)
-		res, err := core.RunMatrix(buildSpecs(), core.MatrixOptions{
-			Workers: 4, Telemetry: col, Journal: j, Resume: resume,
-			Prune: true, PruneVerify: 2, CheckpointLadder: 3,
-		})
+		res, err := core.RunConfig(cfg, resolveTo(f), core.Attach{Telemetry: col, Journal: j, Resume: resume})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,10 +285,10 @@ func TestMatrixJournalResumeDifferential(t *testing.T) {
 func TestEmptyMaskBootsFromScratch(t *testing.T) {
 	f := qsortFactory(t, sims.GeFINX86)
 	col := telemetry.New()
-	res, err := core.RunMatrix([]core.CampaignSpec{{
-		Tool: "gefin-x86", Benchmark: "qsort", Structure: "rf.int",
-		Masks: []fault.Mask{{ID: 0}}, Factory: f, UseCheckpoint: true,
-	}}, core.MatrixOptions{Workers: 1, Telemetry: col, CheckpointLadder: 3})
+	res, err := core.RunConfig(core.CampaignConfig{
+		Campaigns:     []core.CampaignCell{{Tool: "gefin-x86", Benchmark: "qsort", Structure: "rf.int", Masks: []fault.Mask{{ID: 0}}}},
+		UseCheckpoint: true, CheckpointLadder: 3, Workers: 1,
+	}, resolveTo(f), core.Attach{Telemetry: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,10 +330,10 @@ func TestMultiSiteSameStructureWatchDedupe(t *testing.T) {
 		col := telemetry.New()
 		sink := &eventSink{}
 		col.AddSink(sink)
-		_, err := core.RunMatrix([]core.CampaignSpec{{
-			Tool: "fake", Benchmark: "b", Structure: "s",
-			Masks: []fault.Mask{{ID: 0, Sites: sites}}, Factory: countingFactory(&calls),
-		}}, core.MatrixOptions{Workers: 1, Telemetry: col})
+		_, err := core.RunConfig(core.CampaignConfig{
+			Campaigns: []core.CampaignCell{fakeCell("b", []fault.Mask{{ID: 0, Sites: sites}})},
+			Workers:   1,
+		}, resolveTo(countingFactory(&calls)), core.Attach{Telemetry: col})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,10 +372,10 @@ func TestRunWallLimitClassifiesWedgedRuns(t *testing.T) {
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	factory := func() core.Simulator { return &wedgeSim{fakeSim: newFakeSim(), release: release} }
-	res, err := core.RunMatrix([]core.CampaignSpec{{
-		Tool: "fake", Benchmark: "b", Structure: "s",
-		Masks: fakeMasks(3), Factory: factory,
-	}}, core.MatrixOptions{Workers: 2, RunWallLimit: 50 * time.Millisecond})
+	res, err := core.RunConfig(core.CampaignConfig{
+		Campaigns: []core.CampaignCell{fakeCell("b", fakeMasks(3))},
+		Workers:   2, RunWallLimit: 50 * time.Millisecond,
+	}, resolveTo(factory), core.Attach{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,22 +83,20 @@ func classesOf(t *testing.T, recs []core.LogRecord) []core.Class {
 // The whole point of the pruner: a pruned matrix must classify every
 // mask exactly like the unpruned one.
 func TestPruneDifferentialOnToySim(t *testing.T) {
-	spec := func() core.CampaignSpec {
-		return core.CampaignSpec{
-			Tool: "Reader", Benchmark: "toy", Structure: "r",
-			Masks: readerMasks(), Factory: newReaderSim, TimeoutFactor: 3,
-		}
+	cfg := core.CampaignConfig{
+		Campaigns:     []core.CampaignCell{{Tool: "Reader", Benchmark: "toy", Structure: "r", Masks: readerMasks()}},
+		TimeoutFactor: 3, Workers: 2,
 	}
-	plain, err := core.RunMatrix([]core.CampaignSpec{spec()}, core.MatrixOptions{Workers: 2})
+	resolve := resolveTo(newReaderSim)
+	plain, err := core.RunConfig(cfg, resolve, core.Attach{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	collector := telemetry.New()
 	trace := telemetry.NewTraceSink()
 	collector.AddSink(trace)
-	pruned, err := core.RunMatrix([]core.CampaignSpec{spec()}, core.MatrixOptions{
-		Workers: 2, Telemetry: collector, Prune: true, PruneVerify: 100,
-	})
+	cfg.Prune, cfg.PruneVerify = true, 100
+	pruned, err := core.RunConfig(cfg, resolve, core.Attach{Telemetry: collector})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +151,9 @@ func TestPruneDifferentialOnToySim(t *testing.T) {
 	}
 }
 
-// pruneSpecsFor builds small real campaigns over two structures for one
-// tool on qsort.
-func pruneSpecsFor(t *testing.T, tool string, useCheckpoint bool) []core.CampaignSpec {
+// pruneConfigFor builds small real campaigns over two structures for
+// one tool on qsort, with the tool's resolver.
+func pruneConfigFor(t *testing.T, tool string) (core.CampaignConfig, core.Resolver) {
 	t.Helper()
 	f := qsortFactory(t, tool)
 	g, err := core.Golden(f)
@@ -163,7 +161,7 @@ func pruneSpecsFor(t *testing.T, tool string, useCheckpoint bool) []core.Campaig
 		t.Fatal(err)
 	}
 	sim := f()
-	var specs []core.CampaignSpec
+	cfg := core.CampaignConfig{TimeoutFactor: 3, Workers: 4}
 	for _, structure := range []string{"rf.int", "l1d.data"} {
 		arr := sim.Structures()[structure]
 		masks, err := fault.Generate(fault.GeneratorSpec{
@@ -173,13 +171,11 @@ func pruneSpecsFor(t *testing.T, tool string, useCheckpoint bool) []core.Campaig
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs = append(specs, core.CampaignSpec{
-			Tool: tool, Benchmark: "qsort", Structure: structure,
-			Masks: masks, Factory: f, TimeoutFactor: 3,
-			UseCheckpoint: useCheckpoint,
+		cfg.Campaigns = append(cfg.Campaigns, core.CampaignCell{
+			Tool: tool, Benchmark: "qsort", Structure: structure, Masks: masks,
 		})
 	}
-	return specs
+	return cfg, resolveTo(f)
 }
 
 // Pruned and unpruned matrices must classify identically on the real
@@ -189,16 +185,14 @@ func pruneSpecsFor(t *testing.T, tool string, useCheckpoint bool) []core.Campaig
 func TestPruneDifferentialRealSims(t *testing.T) {
 	for _, tool := range []string{sims.MaFINX86, sims.GeFINX86, sims.GeFINARM} {
 		for _, ladder := range []int{0, 3} {
-			useCP := ladder > 0
-			plain, err := core.RunMatrix(pruneSpecsFor(t, tool, useCP), core.MatrixOptions{
-				Workers: 4, CheckpointLadder: ladder,
-			})
+			cfg, resolve := pruneConfigFor(t, tool)
+			cfg.UseCheckpoint, cfg.CheckpointLadder = ladder > 0, ladder
+			plain, err := core.RunConfig(cfg, resolve, core.Attach{})
 			if err != nil {
 				t.Fatalf("%s ladder=%d plain: %v", tool, ladder, err)
 			}
-			pruned, err := core.RunMatrix(pruneSpecsFor(t, tool, useCP), core.MatrixOptions{
-				Workers: 4, CheckpointLadder: ladder, Prune: true, PruneVerify: 6,
-			})
+			cfg.Prune, cfg.PruneVerify = true, 6
+			pruned, err := core.RunConfig(cfg, resolve, core.Attach{})
 			if err != nil {
 				t.Fatalf("%s ladder=%d pruned: %v", tool, ladder, err)
 			}
@@ -220,14 +214,15 @@ func TestPruneDifferentialRealSims(t *testing.T) {
 // relative to the legacy single checkpoint, and restored runs must be
 // visible on the telemetry gauges.
 func TestCheckpointLadderMatchesLegacy(t *testing.T) {
-	legacy, err := core.RunMatrix(pruneSpecsFor(t, sims.GeFINX86, true), core.MatrixOptions{Workers: 4})
+	cfg, resolve := pruneConfigFor(t, sims.GeFINX86)
+	cfg.UseCheckpoint = true
+	legacy, err := core.RunConfig(cfg, resolve, core.Attach{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	collector := telemetry.New()
-	ladder, err := core.RunMatrix(pruneSpecsFor(t, sims.GeFINX86, true), core.MatrixOptions{
-		Workers: 4, CheckpointLadder: 4, Telemetry: collector,
-	})
+	cfg.CheckpointLadder = 4
+	ladder, err := core.RunConfig(cfg, resolve, core.Attach{Telemetry: collector})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,14 +245,11 @@ func TestCheckpointLadderMatchesLegacy(t *testing.T) {
 func TestPruneWithoutCycleSourceDegrades(t *testing.T) {
 	var calls int64
 	factory := countingFactory(&calls)
-	spec := core.CampaignSpec{
-		Tool: "fake", Benchmark: "b", Structure: "s",
-		Masks: fakeMasks(6), Factory: factory, TimeoutFactor: 3,
-	}
 	collector := telemetry.New()
-	res, err := core.RunMatrix([]core.CampaignSpec{spec}, core.MatrixOptions{
-		Workers: 2, Prune: true, PruneVerify: 4, Telemetry: collector,
-	})
+	res, err := core.RunConfig(core.CampaignConfig{
+		Campaigns:     []core.CampaignCell{fakeCell("b", fakeMasks(6))},
+		TimeoutFactor: 3, Workers: 2, Prune: true, PruneVerify: 4,
+	}, resolveTo(factory), core.Attach{Telemetry: collector})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +292,11 @@ func TestPruneConcurrentMatricesSharedCache(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			out[r], errs[r] = core.RunMatrix([]core.CampaignSpec{{
-				Tool: sims.GeFINX86, Benchmark: "qsort", Structure: "rf.int",
-				Masks: masks, Factory: f, TimeoutFactor: 3, UseCheckpoint: true,
-			}}, core.MatrixOptions{
-				Workers: 2, Golden: cache, Telemetry: collector,
+			out[r], errs[r] = core.RunConfig(core.CampaignConfig{
+				Campaigns:     []core.CampaignCell{{Tool: sims.GeFINX86, Benchmark: "qsort", Structure: "rf.int", Masks: masks}},
+				TimeoutFactor: 3, UseCheckpoint: true, Workers: 2,
 				Prune: true, CheckpointLadder: 3,
-			})
+			}, resolveTo(f), core.Attach{Golden: cache, Telemetry: collector})
 		}(r)
 	}
 	wg.Wait()

@@ -273,9 +273,8 @@ func (c *GoldenCache) CommitSignature(tool, bench string, f Factory) (*divergenc
 // the {tool, bench} row for the given rung count, creating it (empty)
 // on first use. Unlike the detailed checkpoint ladder, creation costs
 // nothing: rungs are captured lazily on the run path, each from the
-// nearest lower rung. golden supplies the committed count the rung
-// quantum is derived from, so supplied-golden specs resolve without a
-// cache-side reference run.
+// nearest lower rung. golden (the row's memoized reference) supplies
+// the committed count the rung quantum is derived from.
 func (c *GoldenCache) FFLadder(tool, bench string, golden GoldenInfo, rungs int, noDecode bool) *ffLadder {
 	if rungs <= 0 || golden.Committed == 0 {
 		return nil
@@ -311,129 +310,6 @@ func rungCycles(rungs []LadderRung) []uint64 {
 	return out
 }
 
-// MatrixOptions configures RunMatrix.
-type MatrixOptions struct {
-	// Workers is the size of the single global worker pool shared by
-	// every campaign of the matrix; 0 means GOMAXPROCS. Per-spec Workers
-	// values are ignored — decoupling pool size from per-campaign mask
-	// count is the point of the matrix scheduler.
-	Workers int
-	// Golden optionally shares a golden-run memoizer across RunMatrix
-	// calls (e.g. across the five figures of a full reproduction). When
-	// nil the call uses a private cache.
-	Golden *GoldenCache
-	// Telemetry, when non-nil, receives one run-end event per injection
-	// run plus queue/worker/golden-cache counters. A nil collector costs
-	// nothing on the run path. Events are classified with the default
-	// Parser; the logs repository remains the source for reconfigurable
-	// offline classification.
-	Telemetry *telemetry.Collector
-	// Prune enables golden-run liveness pruning: per row, a profiled
-	// fault-free replay records every access of the targeted structures,
-	// and masks whose fault is provably dead (overwritten, evicted or
-	// never accessed before any read) are classified Masked without
-	// simulation; masks falling into the same inter-access interval are
-	// collapsed to one simulated representative whose verdict the class
-	// shares. When checkpoint restores are in play, one extra replay per
-	// rung keeps the verdicts sound against the restored trajectories.
-	Prune bool
-	// PruneVerify, when positive, additionally simulates up to that many
-	// pruned masks per campaign and fails the matrix when a simulated
-	// class disagrees with the pruned verdict — the differential guard
-	// of the pruning engine. It implies Prune.
-	PruneVerify int
-	// CheckpointLadder is the number of evenly spaced restore points
-	// captured per row for its UseCheckpoint campaigns: K rungs at
-	// (i+1)/(K+1) of the golden run, each run restoring the highest rung
-	// below its earliest fault. Values below 2 keep the legacy single
-	// earliest-fault checkpoint.
-	CheckpointLadder int
-	// Journal, when non-nil, receives one fsync'd JSONL line per
-	// completed injection run — the record plus its trace provenance —
-	// before the worker moves on, so a killed campaign loses at most the
-	// runs that were in flight. Verify re-runs and plan-settled (pruned)
-	// masks are not journaled: the former never enter the results, the
-	// latter are replayed from the deterministic plan on resume.
-	Journal *fault.Journal
-	// Resume replays the journal into the results before dispatch:
-	// masks already journaled for a campaign key load their record from
-	// the journal, skip the queue, and count as resumed in telemetry.
-	// The final records — and the injection trace — are byte-identical
-	// to an uninterrupted run. Requires Journal.
-	Resume bool
-	// RunWallLimit, when positive, bounds the host wall-clock time of a
-	// single injection run. The cycle budget (TimeoutFactor) bounds
-	// simulated time; this backstop catches a wedged simulator whose
-	// cycles stop advancing at all. A run over the limit is recorded as
-	// a commit-stalled cycle-limit run (class Timeout, deadlock detail)
-	// and its goroutine abandoned. Wall-timeout verdicts depend on host
-	// timing, so set this comfortably above any honest run.
-	RunWallLimit time.Duration
-	// DetailWindow enables sampled execution on window-capable
-	// simulators: each injected run simulates cycle-accurately only
-	// inside a detail window around its fault — entered by a functional
-	// fast-forward (or a checkpoint rung, whichever is closer) and left
-	// once every fault provably settled with no residual corruption in a
-	// cache or TLB — and runs on the functional interpreter everywhere
-	// else. WindowPre and WindowPost are the margins, in cycles, of
-	// cycle-accurate simulation kept before the earliest fault arms and
-	// after the last fault settles; runs whose fault never settles stay
-	// cycle-accurate to the end.
-	DetailWindow bool
-	WindowPre    uint64
-	WindowPost   uint64
-	// WindowVerify, when positive, additionally re-simulates up to that
-	// many windowed masks per campaign fully cycle-accurately from the
-	// same window entry and fails the matrix when an outcome class
-	// disagrees with the windowed verdict — the differential guard of
-	// the window-exit proof. It implies DetailWindow.
-	WindowVerify int
-	// FFRungs sizes the functional fast-forward rung ladder windowed
-	// runs enter their detail window through: per {tool, benchmark} row,
-	// functional-tier states are memoized at FFRungs evenly spaced step
-	// points of the fault-free prefix (lazily, on first use) and each
-	// window entry resumes from the nearest rung at or below its entry
-	// instruction instead of replaying from boot. Zero means the default
-	// ladder; negative disables it (every entry fast-forwards from
-	// boot). The seeded states are identical either way, so results,
-	// traces and journals are byte-identical across settings.
-	FFRungs int
-	// NoDecodeCache forces every functional-tier dispatch through the
-	// slow byte-level Fetch+Decode path instead of the per-image
-	// predecoded instruction cache — the reference behaviour for the
-	// differential guards; results are byte-identical either way.
-	NoDecodeCache bool
-	// Divergence, when non-nil, receives one provenance record per mask:
-	// where the injected run's committed-instruction stream first left
-	// the golden path (measured against a per-row golden signature
-	// memoized in the golden cache), how long the corruption lived in the
-	// watched arrays, and how the run ended. Pruned and resumed masks get
-	// footprint-free records flagged with their provenance. Like the
-	// records and the trace, the sink's sorted contents are byte-stable
-	// across worker counts.
-	Divergence *divergence.Sink
-	// Tracer, when non-nil, emits campaign/cell/run/phase spans for the
-	// matrix, parented under TraceParent (empty for a root span).
-	// SpanWorker labels the emitting process on run and phase spans (a
-	// dist worker ID, or "local").
-	Tracer      *telemetry.Tracer
-	TraceParent string
-	SpanWorker  string
-	// StopMargin, when positive, arms the sequential-confidence stopping
-	// rule on every cell: completions are folded into per-class Wilson
-	// score intervals in the cell's deterministic simulation order, the
-	// rule is evaluated every StopCheckEvery completions, and once every
-	// class proportion is pinned to ±StopMargin at StopConfidence the
-	// cell's remaining masks are cancelled and settled as stopped-early
-	// provenance rows. The stop point is a pure function of the mask
-	// population, so logs, traces and journals stay byte-stable across
-	// worker counts and resumes. Ignored in shard mode (windows non-nil):
-	// the distributed coordinator owns the global stop decision.
-	StopMargin     float64
-	StopConfidence float64
-	StopCheckEvery int
-}
-
 // scheduledRun is one injection run of the flattened matrix queue.
 type scheduledRun struct {
 	spec int // index into the specs slice
@@ -458,14 +334,21 @@ type campaignPrep struct {
 	ff *ffLadder
 }
 
-// RunMatrix executes a set of {tool, benchmark, structure} campaigns as
-// one flattened work queue on a single shared worker pool, so short
-// campaigns no longer serialize behind long ones. Results are returned
-// in spec order with records in mask order, byte-identical to running
-// each campaign alone: per-run work goes through the same RunOneFrom
-// path, golden references are memoized per {tool, benchmark} row rather
-// than re-simulated per campaign, and checkpoint prefixes (UseCheckpoint)
-// are computed once per row and shared across its structures.
+// maskWindow restricts the scheduler to the half-open mask index range
+// [lo, hi) of one spec — the shard executor's view of a campaign. The
+// spec still carries the full mask set, so plan-time artifacts whose
+// placement depends on the whole campaign (checkpoint positions, prune
+// plans, mask validation) are computed exactly as a single-node run
+// computes them; only queueing and record fill-in are windowed.
+type maskWindow struct{ lo, hi int }
+
+// runMatrix is the scheduler core behind RunConfig and RunShard: it
+// executes the materialized cells of cfg as one flattened work queue on
+// a single shared worker pool of cfg.Workers, so short campaigns never
+// serialize behind long ones. Results are returned in spec order with
+// records in mask order, byte-identical across worker counts: golden
+// references, checkpoint rungs and prune profiles are memoized per
+// {tool, benchmark} row in cache and shared across the row's structures.
 //
 // On a worker error the pool cancels promptly — in-flight runs finish,
 // queued runs are abandoned — and the error of the earliest queued run
@@ -476,37 +359,14 @@ type campaignPrep struct {
 // and masks are validated against structure geometry before anything is
 // queued.
 //
-// Deprecated: RunMatrix predates the consolidated campaign API. New
-// callers should describe campaigns with a CampaignConfig and use
-// RunConfig (local execution) or RunShard (one mask window of a
-// distributed campaign); both run through the same scheduler. RunMatrix
-// stays as a thin wrapper so existing callers compile unchanged.
-func RunMatrix(specs []CampaignSpec, opt MatrixOptions) ([]*CampaignResult, error) {
-	results, _, err := runMatrix(specs, opt, nil)
-	return results, err
-}
-
-// maskWindow restricts the scheduler to the half-open mask index range
-// [lo, hi) of one spec — the shard executor's view of a campaign. The
-// spec still carries the full mask set, so plan-time artifacts whose
-// placement depends on the whole campaign (checkpoint positions, prune
-// plans, mask validation) are computed exactly as a single-node run
-// computes them; only queueing and record fill-in are windowed.
-type maskWindow struct{ lo, hi int }
-
-// runMatrix is the scheduler core behind RunMatrix, RunConfig and
-// RunShard. windows, when non-nil, holds one mask window per spec and
-// limits simulation and record fill-in to the windowed masks: out-of-
-// window records stay zero, plan-settled replicated masks are left to
-// the merge layer (their representative may live in another window),
-// and prune-verify samples only masks whose comparison record exists in
-// the window. The per-spec prune plans are returned alongside the
-// results so shard executors can report per-mask provenance.
-func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([]*CampaignResult, []*prune.Plan, error) {
-	cache := opt.Golden
-	if cache == nil {
-		cache = NewGoldenCache()
-	}
+// windows, when non-nil, holds one mask window per spec and limits
+// simulation and record fill-in to the windowed masks: out-of-window
+// records stay zero, plan-settled replicated masks are left to the merge
+// layer (their representative may live in another window), and
+// prune-verify samples only masks whose comparison record exists in the
+// window. The per-spec prune plans are returned alongside the results so
+// shard executors can report per-mask provenance.
+func runMatrix(cfg CampaignConfig, specs []CampaignSpec, att Attach, cache *GoldenCache, windows []maskWindow) ([]*CampaignResult, []*prune.Plan, error) {
 	if windows != nil {
 		if len(windows) != len(specs) {
 			return nil, nil, fmt.Errorf("core: %d mask windows for %d specs", len(windows), len(specs))
@@ -521,34 +381,30 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 		return windows == nil || (m >= windows[spec].lo && m < windows[spec].hi)
 	}
 
+	// Campaign keys label journal lines, telemetry rows and spans alike.
+	keys := make([]string, len(specs))
+	for i, spec := range specs {
+		keys[i] = fault.CampaignKey(spec.Tool, spec.Benchmark, spec.Structure)
+	}
+
 	// Span tracing: the matrix is one campaign span; all golden-derived
 	// preparation (reference runs, ladders, prune profiles, commit
 	// signatures) is covered by one "golden" phase child, and each
 	// campaign gets a cell span the run spans parent on.
-	tr := opt.Tracer
+	tr := att.Tracer
 	var matrixSpan, goldenSpan *telemetry.ActiveSpan
 	if tr != nil {
-		matrixSpan = tr.Begin(telemetry.SpanCampaign, "matrix", opt.TraceParent)
+		matrixSpan = tr.Begin(telemetry.SpanCampaign, "matrix", att.TraceParent)
 		goldenSpan = tr.Begin(telemetry.SpanPhase, "golden", matrixSpan.ID())
 	}
 
 	preps := make([]campaignPrep, len(specs))
 	for i, spec := range specs {
-		var g GoldenInfo
-		if spec.Golden != nil {
-			g = *spec.Golden
-		} else {
-			var err error
-			g, err = cache.Golden(spec.Tool, spec.Benchmark, spec.Factory)
-			if err != nil {
-				return nil, nil, err
-			}
+		g, err := cache.Golden(spec.Tool, spec.Benchmark, spec.Factory)
+		if err != nil {
+			return nil, nil, err
 		}
-		g.Benchmark = spec.Benchmark
-		g.Structure = spec.Structure
-		if spec.Tool != "" {
-			g.Tool = spec.Tool
-		}
+		g.Tool, g.Benchmark, g.Structure = spec.Tool, spec.Benchmark, spec.Structure
 		preps[i].golden = g
 	}
 
@@ -557,38 +413,24 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 	// the bitarray, so a typo in a hand-edited mask file must be named up
 	// front (mask ID and site) rather than surface as a contained panic
 	// halfway through a long campaign. Geometry comes from the memoized
-	// golden machine; a supplied golden bypasses the cache, so one
-	// boot-only probe instance answers instead.
+	// golden machine.
 	for i := range specs {
 		spec := &specs[i]
-		var geom func(string) (int, int, bool)
 		var geomErr error
-		if spec.Golden == nil {
-			geom = func(structure string) (int, int, bool) {
-				entries, bits, ok, err := cache.Geometry(spec.Tool, spec.Benchmark, spec.Factory, structure)
-				if err != nil {
-					geomErr = err
-					return 0, 0, false
-				}
-				return entries, bits, ok
+		geom := func(structure string) (int, int, bool) {
+			entries, bits, ok, err := cache.Geometry(spec.Tool, spec.Benchmark, spec.Factory, structure)
+			if err != nil {
+				geomErr = err
+				return 0, 0, false
 			}
-		} else {
-			arrs := spec.Factory().Structures()
-			geom = func(structure string) (int, int, bool) {
-				arr, ok := arrs[structure]
-				if !ok {
-					return 0, 0, false
-				}
-				return arr.Entries(), arr.BitsPerEntry(), true
-			}
+			return entries, bits, ok
 		}
 		for _, m := range spec.Masks {
 			if err := m.ValidateSites(geom); err != nil {
 				if geomErr != nil {
 					return nil, nil, geomErr
 				}
-				return nil, nil, fmt.Errorf("core: campaign %s: %v",
-					fault.CampaignKey(preps[i].golden.Tool, spec.Benchmark, spec.Structure), err)
+				return nil, nil, fmt.Errorf("core: campaign %s: %v", keys[i], err)
 			}
 		}
 	}
@@ -601,11 +443,11 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 	// placed just before the earliest fault of the row's
 	// checkpoint-enabled campaigns and wrapped as a one-rung ladder.
 	earliest := make(map[goldenKey]uint64)
-	for i, spec := range specs {
+	for _, spec := range specs {
 		if !spec.UseCheckpoint {
 			continue
 		}
-		key := goldenKey{preps[i].golden.Tool, spec.Benchmark}
+		key := goldenKey{spec.Tool, spec.Benchmark}
 		e, ok := earliest[key]
 		if !ok {
 			e = ^uint64(0)
@@ -622,12 +464,12 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 		if !spec.UseCheckpoint {
 			continue
 		}
-		key := goldenKey{preps[i].golden.Tool, spec.Benchmark}
+		key := goldenKey{spec.Tool, spec.Benchmark}
 		rungs, done := rows[key]
 		if !done {
-			if opt.CheckpointLadder >= 2 {
+			if cfg.CheckpointLadder >= 2 {
 				var err error
-				rungs, err = cache.Ladder(key.tool, key.bench, spec.Factory, opt.CheckpointLadder)
+				rungs, err = cache.Ladder(key.tool, key.bench, spec.Factory, cfg.CheckpointLadder)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -643,7 +485,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 	// (boot plus one per rung) classifies provably-dead masks Masked and
 	// collapses interval-equivalent masks at plan time, before anything is
 	// queued.
-	pruneOn := opt.Prune || opt.PruneVerify > 0
+	pruneOn := cfg.Prune || cfg.Exhaustive || cfg.PruneVerify > 0
 	if pruneOn {
 		type rowKey struct {
 			key   goldenKey
@@ -653,20 +495,14 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 		structures := maskStructures(specs)
 		for i := range specs {
 			spec := &specs[i]
-			key := rowKey{goldenKey{preps[i].golden.Tool, spec.Benchmark}, len(preps[i].rungs)}
+			key := rowKey{goldenKey{spec.Tool, spec.Benchmark}, len(preps[i].rungs)}
 			profiles, done := profiled[key]
 			if !done {
+				// The cache memoizes the profiled replays per {rungs,
+				// structures}, so a worker re-planning the same campaign
+				// for every shard profiles the row once, not once per shard.
 				var err error
-				if spec.Golden == nil {
-					// The cache memoizes the profiled replays per {rungs,
-					// structures}, so a worker re-planning the same campaign
-					// for every shard profiles the row once, not once per
-					// shard. A supplied golden bypasses the cache (its row
-					// may not be the cache's), so it profiles locally.
-					profiles, err = cache.Profiles(spec.Tool, spec.Benchmark, spec.Factory, preps[i].rungs, structures)
-				} else {
-					profiles, err = buildRowProfiles(spec.Factory, preps[i].rungs, structures, preps[i].golden)
-				}
+				profiles, err = cache.Profiles(spec.Tool, spec.Benchmark, spec.Factory, preps[i].rungs, structures)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -676,26 +512,14 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 		}
 	}
 
-	// Campaign keys label journal lines and telemetry rows alike.
-	keys := make([]string, len(specs))
-	for i, spec := range specs {
-		tool := spec.Tool
-		if tool == "" {
-			tool = preps[i].golden.Tool
-		}
-		keys[i] = fault.CampaignKey(tool, spec.Benchmark, spec.Structure)
-	}
-
 	// Divergence provenance: resolve the golden commit-stream signature
-	// once per {tool, benchmark} row. Supplied-golden specs resolve
-	// through the cache too — the signature replay is deterministic and
-	// depends only on the factory, so the row's cells share one replay.
-	dsink := opt.Divergence
+	// once per {tool, benchmark} row; the row's cells share one replay.
+	dsink := att.Divergence
 	var sigs []*divergence.Signature
 	if dsink != nil {
 		sigs = make([]*divergence.Signature, len(specs))
 		for i, spec := range specs {
-			sig, err := cache.CommitSignature(preps[i].golden.Tool, spec.Benchmark, spec.Factory)
+			sig, err := cache.CommitSignature(spec.Tool, spec.Benchmark, spec.Factory)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -716,9 +540,9 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 	// The queue fill below consults it after the prune plan — plans are
 	// regenerated deterministically, so a journaled mask the plan now
 	// settles without simulation stays with the plan's verdict.
-	jnl := opt.Journal
+	jnl := att.Journal
 	var journaled map[string]map[int]*fault.JournalEntry
-	if opt.Resume && jnl != nil {
+	if att.Resume && jnl != nil {
 		past := jnl.Entries()
 		journaled = make(map[string]map[int]*fault.JournalEntry)
 		for k := range past {
@@ -742,19 +566,19 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 	// the no-exit variant the window-verify re-runs use to stay
 	// cycle-accurate from the same window entry.
 	var win, winNoExit *windowConfig
-	if opt.DetailWindow || opt.WindowVerify > 0 {
-		win = &windowConfig{pre: opt.WindowPre, post: opt.WindowPost, noDecode: opt.NoDecodeCache}
-		winNoExit = &windowConfig{pre: opt.WindowPre, post: opt.WindowPost, noDecode: opt.NoDecodeCache, noExit: true}
+	if cfg.DetailWindow || cfg.WindowVerify > 0 {
+		win = &windowConfig{pre: cfg.WindowPre, post: cfg.WindowPost, noDecode: cfg.NoDecodeCache}
+		winNoExit = &windowConfig{pre: cfg.WindowPre, post: cfg.WindowPost, noDecode: cfg.NoDecodeCache, noExit: true}
 		// Resolve the functional fast-forward rung ladder once per row;
 		// the rungs themselves are captured lazily on the run path.
-		if opt.FFRungs >= 0 {
-			n := opt.FFRungs
+		if cfg.FFRungs >= 0 {
+			n := cfg.FFRungs
 			if n == 0 {
 				n = defaultFFRungs
 			}
 			for i := range specs {
-				preps[i].ff = cache.FFLadder(preps[i].golden.Tool, specs[i].Benchmark,
-					preps[i].golden, n, opt.NoDecodeCache)
+				preps[i].ff = cache.FFLadder(specs[i].Tool, specs[i].Benchmark,
+					preps[i].golden, n, cfg.NoDecodeCache)
 			}
 		}
 	}
@@ -772,7 +596,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 	wverifyRecs := make([][]LogRecord, len(specs))
 	var queue []scheduledRun
 	totalMasks := 0
-	adaptiveOn := opt.StopMargin > 0 && windows == nil
+	adaptiveOn := cfg.StopMargin > 0 && windows == nil
 	simOrders := make([][]int, len(specs))
 	for i, spec := range specs {
 		records[i] = make([]LogRecord, len(spec.Masks))
@@ -807,11 +631,11 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 			simIdx = append(simIdx, m)
 			queue = append(queue, scheduledRun{spec: i, mask: m, verify: -1, wverify: -1})
 		}
-		if opt.PruneVerify > 0 {
+		if cfg.PruneVerify > 0 {
 			// Windowed: verify only masks whose planned verdict this window
 			// can reproduce — a dead mask in the window, or a replicated
 			// mask whose representative's record is simulated here too.
-			for _, m := range sampleVerify(plan, opt.PruneVerify) {
+			for _, m := range sampleVerify(plan, cfg.PruneVerify) {
 				if !inWindow(i, m) {
 					continue
 				}
@@ -825,8 +649,8 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 				queue = append(queue, scheduledRun{spec: i, mask: m, verify: j, wverify: -1})
 			}
 		}
-		if opt.WindowVerify > 0 {
-			wverifyIdx[i] = sampleWindowVerify(simIdx, opt.WindowVerify)
+		if cfg.WindowVerify > 0 {
+			wverifyIdx[i] = sampleWindowVerify(simIdx, cfg.WindowVerify)
 			wverifyRecs[i] = make([]LogRecord, len(wverifyIdx[i]))
 			for j, m := range wverifyIdx[i] {
 				queue = append(queue, scheduledRun{spec: i, mask: m, verify: -1, wverify: j})
@@ -846,15 +670,15 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 		stoppers = make([]*cellStopper, len(specs))
 		for i := range specs {
 			est, err := adaptive.New(adaptive.Config{
-				Margin:     opt.StopMargin,
-				Confidence: opt.StopConfidence,
-				CheckEvery: opt.StopCheckEvery,
+				Margin:     cfg.StopMargin,
+				Confidence: cfg.StopConfidence,
+				CheckEvery: cfg.StopCheckEvery,
 				Classes:    ClassStrings(),
 			})
 			if err != nil {
 				return nil, nil, err
 			}
-			stoppers[i] = newCellStopper(est, simOrders[i], opt.StopCheckEvery)
+			stoppers[i] = newCellStopper(est, simOrders[i], cfg.StopCheckEvery)
 		}
 		for _, r := range resumed {
 			if r.rec.Status == RunStopped.String() {
@@ -865,7 +689,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 		}
 	}
 
-	workers := opt.Workers
+	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -876,7 +700,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 	// Telemetry: register every campaign row up front so the run path
 	// never allocates or locks, and let the snapshot pull golden-cache
 	// statistics live.
-	tel := opt.Telemetry
+	tel := att.Telemetry
 	var camps []*telemetry.CampaignStats
 	if tel != nil {
 		tel.SetGoldenSource(func() (uint64, uint64) {
@@ -892,11 +716,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 		tel.AddQueued(totalMasks)
 		camps = make([]*telemetry.CampaignStats, len(specs))
 		for i, spec := range specs {
-			tool := spec.Tool
-			if tool == "" {
-				tool = preps[i].golden.Tool
-			}
-			camps[i] = tel.Campaign(keys[i], tool, spec.Benchmark, spec.Structure)
+			camps[i] = tel.Campaign(keys[i], spec.Tool, spec.Benchmark, spec.Structure)
 		}
 		// Resumed runs completed in an earlier process; their events carry
 		// the journaled trace provenance (so the trace sink reproduces the
@@ -1053,7 +873,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 					// window policy as the real runs — the check is about
 					// the prune verdict, not the execution tier.
 					rec, err := runGuarded(spec.Factory, prep.rungs, spec.Masks[r.mask],
-						prep.golden, spec.TimeoutFactor, !spec.DisableEarlyStop, win, prep.ff, opt.RunWallLimit, nil)
+						prep.golden, spec.TimeoutFactor, !spec.DisableEarlyStop, win, prep.ff, cfg.RunWallLimit, nil)
 					if err != nil {
 						noteErr(i, err)
 						return
@@ -1066,7 +886,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 					// cycle-accurately from the same window entry, bypassing
 					// telemetry, the journal and the results entirely.
 					rec, err := runGuarded(spec.Factory, prep.rungs, spec.Masks[r.mask],
-						prep.golden, spec.TimeoutFactor, !spec.DisableEarlyStop, winNoExit, prep.ff, opt.RunWallLimit, nil)
+						prep.golden, spec.TimeoutFactor, !spec.DisableEarlyStop, winNoExit, prep.ff, cfg.RunWallLimit, nil)
 					if err != nil {
 						noteErr(i, err)
 						return
@@ -1089,7 +909,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 					runStart = time.Now()
 				}
 				rec, err := runGuarded(spec.Factory, prep.rungs, spec.Masks[r.mask],
-					prep.golden, spec.TimeoutFactor, !spec.DisableEarlyStop, win, prep.ff, opt.RunWallLimit, stats)
+					prep.golden, spec.TimeoutFactor, !spec.DisableEarlyStop, win, prep.ff, cfg.RunWallLimit, stats)
 				if err != nil {
 					noteErr(i, err)
 					return
@@ -1161,7 +981,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 					})
 				}
 				if tr != nil {
-					emitRunSpans(tr, cellSpans[r.spec].ID(), opt.SpanWorker, keys[r.spec], rec, stats, runStart)
+					emitRunSpans(tr, cellSpans[r.spec].ID(), att.SpanWorker, keys[r.spec], rec, stats, runStart)
 				}
 			}
 		}()
@@ -1336,7 +1156,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 				d := preps[i].plan.Decisions[m]
 				return nil, nil, fmt.Errorf(
 					"core: prune-verify mismatch on %s mask %d (%s, reason %q): pruned class %s, simulated class %s (status %s)",
-					fault.CampaignKey(preps[i].golden.Tool, specs[i].Benchmark, specs[i].Structure),
+					keys[i],
 					specs[i].Masks[m].ID, d.Action, d.Reason, planned, simulated, verifyRecs[i][j].Status)
 			}
 		}
@@ -1357,7 +1177,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 			if windowed != full {
 				return nil, nil, fmt.Errorf(
 					"core: window-verify mismatch on %s mask %d: windowed class %s (status %s), cycle-accurate class %s (status %s)",
-					fault.CampaignKey(preps[i].golden.Tool, specs[i].Benchmark, specs[i].Structure),
+					keys[i],
 					specs[i].Masks[m].ID, windowed, records[i][m].Status, full, wverifyRecs[i][j].Status)
 			}
 		}
@@ -1383,7 +1203,7 @@ func runMatrix(specs []CampaignSpec, opt MatrixOptions, windows []maskWindow) ([
 				SimulatedRuns:   st.est.N(),
 				PlannedRuns:     len(st.simOrder),
 				EffectiveMargin: st.est.EffectiveMargin(),
-				Confidence:      opt.StopConfidence,
+				Confidence:      cfg.StopConfidence,
 			}
 			if st.stopped() {
 				info.SimulatedRuns = st.stoppedAt

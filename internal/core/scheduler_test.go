@@ -60,6 +60,16 @@ func countingFactory(calls *int64) core.Factory {
 	}
 }
 
+// resolveTo is a Resolver that hands every cell the same factory.
+func resolveTo(f core.Factory) core.Resolver {
+	return func(string, string) (core.Factory, error) { return f, nil }
+}
+
+// fakeCell is an explicit-mask cell of the fake tool's structure.
+func fakeCell(bench string, masks []fault.Mask) core.CampaignCell {
+	return core.CampaignCell{Tool: "fake", Benchmark: bench, Structure: "s", Masks: masks}
+}
+
 func fakeMasks(n int) []fault.Mask {
 	masks := make([]fault.Mask, n)
 	for i := range masks {
@@ -109,29 +119,26 @@ func TestRunMatrixGoldenRunsOncePerRow(t *testing.T) {
 	var calls int64
 	factory := countingFactory(&calls)
 	cache := core.NewGoldenCache()
-	var specs []core.CampaignSpec
+	cfg := core.CampaignConfig{Workers: 4}
 	rows := []string{"b1", "b2"}
 	structures := []string{"sA", "sB", "sC"}
 	const masksPer = 4
 	for _, bench := range rows {
 		for range structures {
-			specs = append(specs, core.CampaignSpec{
-				Tool: "fake", Benchmark: bench, Structure: "s",
-				Masks: fakeMasks(masksPer), Factory: factory,
-			})
+			cfg.Campaigns = append(cfg.Campaigns, fakeCell(bench, fakeMasks(masksPer)))
 		}
 	}
-	results, err := core.RunMatrix(specs, core.MatrixOptions{Workers: 4, Golden: cache})
+	results, err := core.RunConfig(cfg, resolveTo(factory), core.Attach{Golden: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(specs) {
-		t.Fatalf("results %d, want %d", len(results), len(specs))
+	if len(results) != len(cfg.Campaigns) {
+		t.Fatalf("results %d, want %d", len(results), len(cfg.Campaigns))
 	}
 	if got := cache.Runs(); got != len(rows) {
 		t.Fatalf("golden runs = %d, want exactly %d (one per {tool,benchmark} row)", got, len(rows))
 	}
-	wantCalls := int64(len(rows) + len(specs)*masksPer)
+	wantCalls := int64(len(rows) + len(cfg.Campaigns)*masksPer)
 	if calls != wantCalls {
 		t.Fatalf("factory calls = %d, want %d (1 golden per row + 1 per injection run)", calls, wantCalls)
 	}
@@ -147,33 +154,31 @@ func TestRunMatrixGoldenRunsOncePerRow(t *testing.T) {
 	}
 }
 
-// A supplied CampaignSpec.Golden must suppress the controller's own
-// golden run entirely.
+// A golden reference already memoized in the attached cache must
+// suppress the controller's own golden run entirely: the cache supplies
+// the golden, the geometry for mask validation and the golden header.
 func TestRunCampaignSuppliedGoldenSkipsRun(t *testing.T) {
 	var calls int64
 	factory := countingFactory(&calls)
-	golden, err := core.Golden(factory)
-	if err != nil {
+	cache := core.NewGoldenCache()
+	if _, err := cache.Golden("fake", "b", factory); err != nil {
 		t.Fatal(err)
 	}
 	calls = 0
-	res, err := core.RunCampaign(core.CampaignSpec{
-		Tool: "fake", Benchmark: "b", Structure: "s",
-		Masks: fakeMasks(3), Factory: factory, Workers: 2,
-		Golden: &golden,
-	})
+	results, err := core.RunConfig(core.CampaignConfig{
+		Campaigns: []core.CampaignCell{fakeCell("b", fakeMasks(3))},
+		Workers:   2,
+	}, resolveTo(factory), core.Attach{Golden: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 calls: one boot-only probe for plan-time mask validation (a
-	// supplied golden bypasses the cache's memoized machine, so geometry
-	// must come from somewhere) plus one per injection run — but no
-	// golden simulation.
-	if calls != 4 {
-		t.Fatalf("factory calls = %d, want 4 (geometry probe + injection runs, golden supplied)", calls)
+	// 3 calls: one per injection run — no golden simulation and no
+	// geometry probe.
+	if calls != 3 {
+		t.Fatalf("factory calls = %d, want 3 (injection runs only, golden memoized)", calls)
 	}
-	if res.Golden.Benchmark != "b" || res.Golden.Structure != "s" || res.Golden.Tool != "fake" {
-		t.Fatalf("golden fields not restamped: %+v", res.Golden)
+	if g := results[0].Golden; g.Benchmark != "b" || g.Structure != "s" || g.Tool != "fake" {
+		t.Fatalf("golden fields not restamped: %+v", g)
 	}
 }
 
@@ -186,26 +191,22 @@ func TestRunMatrixWorkerCountParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := f()
-	buildSpecs := func() []core.CampaignSpec {
-		var specs []core.CampaignSpec
-		for _, structure := range []string{"rf.int", "lsq.data"} {
-			arr := sim.Structures()[structure]
-			masks, err := fault.Generate(fault.GeneratorSpec{
-				Structure: structure, Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry(),
-				MaxCycle: g.Cycles, Model: fault.ModelTransient, Count: 6, Seed: 13,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			specs = append(specs, core.CampaignSpec{
-				Tool: "gefin-x86", Benchmark: "qsort", Structure: structure,
-				Masks: masks, Factory: f, TimeoutFactor: 3,
-			})
+	var cells []core.CampaignCell
+	for _, structure := range []string{"rf.int", "lsq.data"} {
+		arr := sim.Structures()[structure]
+		masks, err := fault.Generate(fault.GeneratorSpec{
+			Structure: structure, Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry(),
+			MaxCycle: g.Cycles, Model: fault.ModelTransient, Count: 6, Seed: 13,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return specs
+		cells = append(cells, core.CampaignCell{
+			Tool: "gefin-x86", Benchmark: "qsort", Structure: structure, Masks: masks,
+		})
 	}
 	run := func(workers int) []*core.CampaignResult {
-		res, err := core.RunMatrix(buildSpecs(), core.MatrixOptions{Workers: workers})
+		res, err := core.RunConfig(core.CampaignConfig{Campaigns: cells, Workers: workers}, resolveTo(f), core.Attach{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,10 +243,10 @@ func TestRunMatrixFirstErrorDeterministic(t *testing.T) {
 	masks[3].Sites[0].Structure = "bogus-early"
 	masks[7].Sites[0].Structure = "bogus-late"
 	for _, workers := range []int{1, 2, 8} {
-		_, err := core.RunMatrix([]core.CampaignSpec{{
-			Tool: "fake", Benchmark: "b", Structure: "s",
-			Masks: masks, Factory: factory,
-		}}, core.MatrixOptions{Workers: workers})
+		_, err := core.RunConfig(core.CampaignConfig{
+			Campaigns: []core.CampaignCell{fakeCell("b", masks)},
+			Workers:   workers,
+		}, resolveTo(factory), core.Attach{})
 		if err == nil {
 			t.Fatalf("workers=%d: poisoned campaign succeeded", workers)
 		}
@@ -253,12 +254,12 @@ func TestRunMatrixFirstErrorDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d: got %v, want the mask-3 error", workers, err)
 		}
 	}
-	// Same contract through the single-campaign controller.
-	if _, err := core.RunCampaign(core.CampaignSpec{
-		Tool: "fake", Benchmark: "b", Structure: "s",
-		Masks: masks, Factory: factory, Workers: 4,
-	}); err == nil || !strings.Contains(err.Error(), "bogus-early") {
-		t.Fatalf("RunCampaign error = %v, want the mask-3 error", err)
+	// Same contract when the poisoned cell follows a clean one.
+	if _, err := core.RunConfig(core.CampaignConfig{
+		Campaigns: []core.CampaignCell{fakeCell("a", fakeMasks(4)), fakeCell("b", masks)},
+		Workers:   4,
+	}, resolveTo(factory), core.Attach{}); err == nil || !strings.Contains(err.Error(), "bogus-early") {
+		t.Fatalf("two-cell error = %v, want the mask-3 error", err)
 	}
 }
 

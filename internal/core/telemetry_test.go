@@ -11,14 +11,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-func telemetrySpecs(t *testing.T, f core.Factory) []core.CampaignSpec {
+// telemetryConfig builds two small explicit-mask campaigns (rf.int and
+// lsq.data) for gefin-x86 on qsort.
+func telemetryConfig(t *testing.T, f core.Factory) core.CampaignConfig {
 	t.Helper()
 	g, err := core.Golden(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := f()
-	var specs []core.CampaignSpec
+	cfg := core.CampaignConfig{TimeoutFactor: 3}
 	for _, structure := range []string{"rf.int", "lsq.data"} {
 		arr := sim.Structures()[structure]
 		masks, err := fault.Generate(fault.GeneratorSpec{
@@ -28,12 +30,11 @@ func telemetrySpecs(t *testing.T, f core.Factory) []core.CampaignSpec {
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs = append(specs, core.CampaignSpec{
-			Tool: sims.GeFINX86, Benchmark: "qsort", Structure: structure,
-			Masks: masks, Factory: f, TimeoutFactor: 3,
+		cfg.Campaigns = append(cfg.Campaigns, core.CampaignCell{
+			Tool: sims.GeFINX86, Benchmark: "qsort", Structure: structure, Masks: masks,
 		})
 	}
-	return specs
+	return cfg
 }
 
 // The collector's outcome histogram after a matrix must be identical to
@@ -42,15 +43,14 @@ func telemetrySpecs(t *testing.T, f core.Factory) []core.CampaignSpec {
 // a second bookkeeper of the same campaign, not an approximation.
 func TestMatrixTelemetryMatchesClassification(t *testing.T) {
 	f := qsortFactory(t, sims.GeFINX86)
-	specs := telemetrySpecs(t, f)
+	cfg := telemetryConfig(t, f)
+	cfg.Workers = 4
 
 	cache := core.NewGoldenCache()
 	collector := telemetry.New()
 	trace := telemetry.NewTraceSink()
 	collector.AddSink(trace)
-	results, err := core.RunMatrix(specs, core.MatrixOptions{
-		Workers: 4, Golden: cache, Telemetry: collector,
-	})
+	results, err := core.RunConfig(cfg, resolveTo(f), core.Attach{Golden: cache, Telemetry: collector})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +111,17 @@ func TestMatrixTelemetryMatchesClassification(t *testing.T) {
 		b := (core.Parser{}).ParseAll(res.Records)
 		var row telemetry.CampaignSnapshot
 		for _, r := range s.Campaigns {
-			if r.Structure == specs[i].Structure {
+			if r.Structure == cfg.Campaigns[i].Structure {
 				row = r
 			}
 		}
 		if row.Runs != uint64(len(res.Records)) {
-			t.Fatalf("campaign %s row has %d runs, want %d", specs[i].Structure, row.Runs, len(res.Records))
+			t.Fatalf("campaign %s row has %d runs, want %d", cfg.Campaigns[i].Structure, row.Runs, len(res.Records))
 		}
 		for cls, n := range b.Counts {
 			if row.Classes[string(cls)] != uint64(n) {
 				t.Fatalf("campaign %s class %s = %d, parser says %d",
-					specs[i].Structure, cls, row.Classes[string(cls)], n)
+					cfg.Campaigns[i].Structure, cls, row.Classes[string(cls)], n)
 			}
 		}
 	}
@@ -137,9 +137,9 @@ func TestTraceByteStableAcrossWorkerCounts(t *testing.T) {
 		collector := telemetry.New()
 		trace := telemetry.NewTraceSink()
 		collector.AddSink(trace)
-		if _, err := core.RunMatrix(telemetrySpecs(t, f), core.MatrixOptions{
-			Workers: workers, Telemetry: collector,
-		}); err != nil {
+		cfg := telemetryConfig(t, f)
+		cfg.Workers = workers
+		if _, err := core.RunConfig(cfg, resolveTo(f), core.Attach{Telemetry: collector}); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -224,10 +224,10 @@ func TestTelemetryEarlyStopAndObservation(t *testing.T) {
 	collector := telemetry.New()
 	trace := telemetry.NewTraceSink()
 	collector.AddSink(trace)
-	if _, err := core.RunMatrix([]core.CampaignSpec{{
-		Tool: "fake", Benchmark: "b", Structure: "s",
-		Masks: fakeMasks(12), Factory: factory,
-	}}, core.MatrixOptions{Workers: 3, Telemetry: collector}); err != nil {
+	if _, err := core.RunConfig(core.CampaignConfig{
+		Campaigns: []core.CampaignCell{fakeCell("b", fakeMasks(12))},
+		Workers:   3,
+	}, resolveTo(factory), core.Attach{Telemetry: collector}); err != nil {
 		t.Fatal(err)
 	}
 	s := collector.Snapshot()

@@ -14,17 +14,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// windowSpecs builds the standard two-structure qsort campaign pair used
-// by the detail-window tests: register-file faults (settle fast, long
-// functional tails) and L1D faults (residency-gated exits).
-func windowSpecs(t *testing.T, tool string, f core.Factory, count int, seed int64) []core.CampaignSpec {
+// windowCampaigns builds the standard two-structure qsort campaign pair
+// used by the detail-window tests: register-file faults (settle fast,
+// long functional tails) and L1D faults (residency-gated exits), on a
+// 4-worker config with no window knobs set yet.
+func windowCampaigns(t *testing.T, tool string, f core.Factory, count int, seed int64) core.CampaignConfig {
 	t.Helper()
 	g, err := core.Golden(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := f()
-	var specs []core.CampaignSpec
+	cfg := core.CampaignConfig{TimeoutFactor: 3, Workers: 4}
 	for _, structure := range []string{"rf.int", "l1d.data"} {
 		arr := sim.Structures()[structure]
 		masks, err := fault.Generate(fault.GeneratorSpec{
@@ -34,12 +35,17 @@ func windowSpecs(t *testing.T, tool string, f core.Factory, count int, seed int6
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs = append(specs, core.CampaignSpec{
-			Tool: tool, Benchmark: "qsort", Structure: structure,
-			Masks: masks, Factory: f, TimeoutFactor: 3,
+		cfg.Campaigns = append(cfg.Campaigns, core.CampaignCell{
+			Tool: tool, Benchmark: "qsort", Structure: structure, Masks: masks,
 		})
 	}
-	return specs
+	return cfg
+}
+
+// withWindow turns the detail window on with the standard margins.
+func withWindow(cfg core.CampaignConfig) core.CampaignConfig {
+	cfg.DetailWindow, cfg.WindowPre, cfg.WindowPost = true, 2000, 1000
+	return cfg
 }
 
 func classesPerMask(t *testing.T, results []*core.CampaignResult) [][]core.Class {
@@ -81,17 +87,15 @@ func TestDetailWindowDifferential(t *testing.T) {
 		tool := tc.tool
 		t.Run(tool, func(t *testing.T) {
 			f := qsortFactory(t, tool)
-			specs := windowSpecs(t, tool, f, 25, 41)
+			cfg := windowCampaigns(t, tool, f, 25, 41)
 
 			run := func(window bool) ([]*core.CampaignResult, telemetry.Snapshot) {
 				col := telemetry.New()
-				opt := core.MatrixOptions{Workers: 4, Telemetry: col}
+				c := cfg
 				if window {
-					opt.DetailWindow = true
-					opt.WindowPre = 2000
-					opt.WindowPost = 1000
+					c = withWindow(cfg)
 				}
-				res, err := core.RunMatrix(specs, opt)
+				res, err := core.RunConfig(c, resolveTo(f), core.Attach{Telemetry: col})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,7 +132,7 @@ func TestDetailWindowDifferential(t *testing.T) {
 						same++
 					} else {
 						t.Logf("%s mask %d: window-off %s, window-on %s (borderline reclassification)",
-							specs[i].Structure, j, fullCls[i][j], winCls[i][j])
+							cfg.Campaigns[i].Structure, j, fullCls[i][j], winCls[i][j])
 					}
 					drift[fullCls[i][j]]--
 					drift[winCls[i][j]]++
@@ -139,7 +143,7 @@ func TestDetailWindowDifferential(t *testing.T) {
 					}
 					if max := len(fullCls[i]) / 5; d > max {
 						t.Errorf("%s: class %s count drifts by %d under windowing (tolerance %d of %d masks)",
-							specs[i].Structure, cls, d, max, len(fullCls[i]))
+							cfg.Campaigns[i].Structure, cls, d, max, len(fullCls[i]))
 					}
 				}
 			}
@@ -161,18 +165,17 @@ func TestDetailWindowDifferential(t *testing.T) {
 // runs.
 func TestWindowExitsWithoutEarlyStop(t *testing.T) {
 	f := qsortFactory(t, sims.MaFINX86)
-	specs := windowSpecs(t, sims.MaFINX86, f, 15, 41)[:1] // rf.int only
-	specs[0].DisableEarlyStop = true
+	cfg := windowCampaigns(t, sims.MaFINX86, f, 15, 41)
+	cfg.Campaigns = cfg.Campaigns[:1] // rf.int only
+	cfg.DisableEarlyStop = true
 
 	run := func(window bool) (*core.CampaignResult, telemetry.Snapshot) {
 		col := telemetry.New()
-		opt := core.MatrixOptions{Workers: 4, Telemetry: col}
+		c := cfg
 		if window {
-			opt.DetailWindow = true
-			opt.WindowPre = 2000
-			opt.WindowPost = 1000
+			c = withWindow(cfg)
 		}
-		res, err := core.RunMatrix(specs, opt)
+		res, err := core.RunConfig(c, resolveTo(f), core.Attach{Telemetry: col})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,12 +211,10 @@ func TestWindowExitsWithoutEarlyStop(t *testing.T) {
 // bar of the window-exit proof.
 func TestWindowVerifyAgrees(t *testing.T) {
 	f := qsortFactory(t, sims.GeFINARM)
-	specs := windowSpecs(t, sims.GeFINARM, f, 20, 23)
+	cfg := withWindow(windowCampaigns(t, sims.GeFINARM, f, 20, 23))
+	cfg.WindowVerify = 6
 	col := telemetry.New()
-	if _, err := core.RunMatrix(specs, core.MatrixOptions{
-		Workers: 4, Telemetry: col,
-		DetailWindow: true, WindowPre: 2000, WindowPost: 1000, WindowVerify: 6,
-	}); err != nil {
+	if _, err := core.RunConfig(cfg, resolveTo(f), core.Attach{Telemetry: col}); err != nil {
 		t.Fatalf("window-verify: %v", err)
 	}
 	if snap := col.Snapshot(); snap.WindowExits == 0 {
@@ -228,13 +229,10 @@ func TestWindowVerifyAgrees(t *testing.T) {
 // and injection trace byte-identically.
 func TestWindowComposesWithPruneLadderResume(t *testing.T) {
 	f := qsortFactory(t, sims.GeFINX86)
-	buildSpecs := func() []core.CampaignSpec {
-		specs := windowSpecs(t, "gefin-x86", f, 25, 17)
-		for i := range specs {
-			specs[i].UseCheckpoint = true
-		}
-		return specs
-	}
+	cfg := withWindow(windowCampaigns(t, "gefin-x86", f, 25, 17))
+	cfg.UseCheckpoint, cfg.CheckpointLadder = true, 3
+	cfg.Prune, cfg.PruneVerify = true, 2
+	cfg.WindowVerify = 3
 	run := func(path string, resume bool) ([]*core.CampaignResult, []byte, telemetry.Snapshot) {
 		j, err := fault.OpenJournal(path)
 		if err != nil {
@@ -244,11 +242,7 @@ func TestWindowComposesWithPruneLadderResume(t *testing.T) {
 		col := telemetry.New()
 		trace := telemetry.NewTraceSink()
 		col.AddSink(trace)
-		res, err := core.RunMatrix(buildSpecs(), core.MatrixOptions{
-			Workers: 4, Telemetry: col, Journal: j, Resume: resume,
-			Prune: true, PruneVerify: 2, CheckpointLadder: 3,
-			DetailWindow: true, WindowPre: 2000, WindowPost: 1000, WindowVerify: 3,
-		})
+		res, err := core.RunConfig(cfg, resolveTo(f), core.Attach{Telemetry: col, Journal: j, Resume: resume})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1296,9 +1296,7 @@ func (c *Coordinator) Handler() http.Handler {
 // alongside the /v1 protocol: /v1/snapshot.json and /v1/metrics serve
 // the fleet-aggregated telemetry, /v1/fleet.json the per-worker
 // lease/lag accounting, and /v1/events — when an event stream is
-// attached — the live SSE feed of progress, run and span events. The
-// unprefixed paths remain as deprecated aliases for one release so old
-// dashboards and probes keep working.
+// attached — the live SSE feed of progress, run and span events.
 func (c *Coordinator) ObsHandler(es *telemetry.EventStream) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", c.Handler())
@@ -1328,8 +1326,7 @@ type ObsEndpoints struct {
 	Events   http.Handler // nil when no event stream is attached
 }
 
-// MountObs registers the telemetry endpoints on a mux under /v1/ and,
-// as deprecated aliases for one release, at the unprefixed paths.
+// MountObs registers the telemetry endpoints on a mux under /v1/.
 func MountObs(mux *http.ServeMux, eps ObsEndpoints) {
 	snap := MethodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		b, err := eps.Snapshot().JSON()
@@ -1347,13 +1344,11 @@ func MountObs(mux *http.ServeMux, eps ObsEndpoints) {
 	fleet := MethodOnly(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, eps.Fleet())
 	})
-	for _, prefix := range []string{"/v1", ""} {
-		mux.HandleFunc(prefix+"/snapshot.json", snap)
-		mux.HandleFunc(prefix+"/metrics", metrics)
-		mux.HandleFunc(prefix+"/fleet.json", fleet)
-		if eps.Events != nil {
-			mux.Handle(prefix+"/events", MethodOnly(http.MethodGet, eps.Events.ServeHTTP))
-		}
+	mux.HandleFunc("/v1/snapshot.json", snap)
+	mux.HandleFunc("/v1/metrics", metrics)
+	mux.HandleFunc("/v1/fleet.json", fleet)
+	if eps.Events != nil {
+		mux.Handle("/v1/events", MethodOnly(http.MethodGet, eps.Events.ServeHTTP))
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // TestFleetSnapshotAggregation runs a clean distributed campaign with
 // per-worker collectors and checks the observability plane end to end:
 // the coordinator's fleet-aggregated snapshot equals the sum of the
-// worker snapshots, /snapshot.json and /metrics serve the aggregate,
-// and /fleet.json reports every worker final.
+// worker snapshots, /v1/snapshot.json and /v1/metrics serve the
+// aggregate, and /v1/fleet.json reports every worker final.
 func TestFleetSnapshotAggregation(t *testing.T) {
 	cfg := testConfig() // 2 campaigns x 10 injections
 	coord, err := dist.New(cfg, dist.CoordinatorOptions{ShardSize: 3})
@@ -83,7 +83,7 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 	}
 
 	// The HTTP plane serves the same aggregate.
-	resp, err := http.Get(srv.URL + "/snapshot.json")
+	resp, err := http.Get(srv.URL + "/v1/snapshot.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +91,12 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 	err = json.NewDecoder(resp.Body).Decode(&served)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatalf("/snapshot.json does not parse: %v", err)
+		t.Fatalf("/v1/snapshot.json does not parse: %v", err)
 	}
 	if served.RunsDone != total {
-		t.Fatalf("/snapshot.json RunsDone = %d, want %d", served.RunsDone, total)
+		t.Fatalf("/v1/snapshot.json RunsDone = %d, want %d", served.RunsDone, total)
 	}
-	resp, err = http.Get(srv.URL + "/metrics")
+	resp, err = http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +109,13 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 	resp.Body.Close()
 	want := fmt.Sprintf("faultinject_runs_done_total %d", total)
 	if !strings.Contains(metrics.String(), want) {
-		t.Fatalf("/metrics lacks %q", want)
+		t.Fatalf("/v1/metrics lacks %q", want)
 	}
 	if !strings.Contains(metrics.String(), "# HELP faultinject_runs_done_total") {
-		t.Fatal("/metrics lacks HELP lines")
+		t.Fatal("/v1/metrics lacks HELP lines")
 	}
 
-	resp, err = http.Get(srv.URL + "/fleet.json")
+	resp, err = http.Get(srv.URL + "/v1/fleet.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +123,10 @@ func TestFleetSnapshotAggregation(t *testing.T) {
 	err = json.NewDecoder(resp.Body).Decode(&statuses)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatalf("/fleet.json does not parse: %v", err)
+		t.Fatalf("/v1/fleet.json does not parse: %v", err)
 	}
 	if len(statuses) != workers {
-		t.Fatalf("/fleet.json lists %d workers, want %d", len(statuses), workers)
+		t.Fatalf("/v1/fleet.json lists %d workers, want %d", len(statuses), workers)
 	}
 	for _, ws := range statuses {
 		if !ws.Final {

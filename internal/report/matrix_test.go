@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/divergence"
 	"repro/internal/fault"
 	"repro/internal/sims"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -27,6 +29,9 @@ func serialReference(t *testing.T, tool, bench, structure string, opt Options) *
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The scheduled paths stamp the cell's registry tool name (the
+	// campaign-key spelling) over the simulator's display name.
+	golden.Tool = tool
 	golden.Benchmark = bench
 	golden.Structure = structure
 	sim := factory()
@@ -37,12 +42,12 @@ func serialReference(t *testing.T, tool, bench, structure string, opt Options) *
 	masks, err := fault.Generate(fault.GeneratorSpec{
 		Structure: structure, Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry(),
 		MaxCycle: golden.Cycles, Model: fault.ModelTransient,
-		Count: opt.injections(), Seed: seedFor(opt.Seed, 0, bench, tool+structure),
+		Count: opt.injections(), Seed: seedFor(opt.Config.Seed, 0, bench, tool+structure),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.LiveOnly {
+	if opt.Config.LiveOnly {
 		twin := factory()
 		if res := twin.Run(1 << 62); res.Status != core.RunCompleted {
 			t.Fatalf("twin probe: %v", res.Status)
@@ -74,19 +79,32 @@ func serialReference(t *testing.T, tool, bench, structure string, opt Options) *
 	return res
 }
 
+// loggedRecords reads one campaign of a figure run back from its logs.
+func loggedRecords(t *testing.T, repo *core.LogsRepo, tool, bench, structure string) *core.CampaignResult {
+	t.Helper()
+	res, err := repo.Load(fault.CampaignKey(tool, bench, structure))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // The scheduler-driven figure path must be byte-identical to the serial
 // pre-scheduler path for a fixed seed: same per-mask records, same
 // breakdowns, same golden cells.
 func TestRunFiguresMatchesSerialReference(t *testing.T) {
+	repo, err := core.NewLogsRepo(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := core.NewGoldenCache()
 	opt := Options{
-		Injections: 8,
-		Seed:       7,
+		Config:     core.CampaignConfig{Injections: 8, Seed: 7, Workers: 4},
+		Attach:     core.Attach{Golden: cache},
 		Benchmarks: []string{"qsort"},
-		Workers:    4,
+		Logs:       repo,
 	}
 	spec := Figures[4] // Fig 6: lsq.data
-	cache := core.NewGoldenCache()
-	opt.GoldenCache = cache
 	fd, err := RunFigure(spec, opt, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -94,10 +112,7 @@ func TestRunFiguresMatchesSerialReference(t *testing.T) {
 	for _, tool := range opt.tools() {
 		want := serialReference(t, tool, "qsort", spec.Structure, opt)
 		// Per-mask records through the scheduler path.
-		res, err := RunCampaignFor(tool, "qsort", spec.Structure, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := loggedRecords(t, repo, tool, "qsort", spec.Structure)
 		if !reflect.DeepEqual(res.Records, want.Records) {
 			t.Fatalf("%s: scheduler records differ from serial reference:\n%+v\nvs\n%+v",
 				tool, res.Records, want.Records)
@@ -128,16 +143,14 @@ func TestRunFiguresMatchesSerialReference(t *testing.T) {
 // golden exactly once, and produce the same figures as figure-at-a-time
 // runs.
 func TestRunFiguresSharesGoldensAcrossFigures(t *testing.T) {
+	cache := core.NewGoldenCache()
 	opt := Options{
-		Injections: 5,
-		Seed:       3,
+		Config:     core.CampaignConfig{Injections: 5, Seed: 3, Workers: 4},
+		Attach:     core.Attach{Golden: cache},
 		Benchmarks: []string{"qsort"},
 		Tools:      []string{sims.MaFINX86, sims.GeFINARM},
-		Workers:    4,
 	}
 	specs := []FigureSpec{Figures[0], Figures[4]} // rf.int and lsq.data
-	cache := core.NewGoldenCache()
-	opt.GoldenCache = cache
 	fds, err := RunFigures(specs, opt, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +163,8 @@ func TestRunFiguresSharesGoldensAcrossFigures(t *testing.T) {
 	}
 	for i, spec := range specs {
 		solo, err := RunFigure(spec, Options{
-			Injections: 5, Seed: 3, Benchmarks: opt.Benchmarks,
-			Tools: opt.Tools, Workers: 1,
+			Config:     core.CampaignConfig{Injections: 5, Seed: 3, Workers: 1},
+			Benchmarks: opt.Benchmarks, Tools: opt.Tools,
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -166,21 +179,112 @@ func TestRunFiguresSharesGoldensAcrossFigures(t *testing.T) {
 // The memoized LiveOnly probe must reproduce the twin-replay population
 // and records exactly.
 func TestLiveOnlyMatchesTwinProbeReference(t *testing.T) {
-	opt := Options{
-		Injections: 6,
-		Seed:       2,
-		Benchmarks: []string{"qsort"},
-		Tools:      []string{sims.GeFINX86},
-		Workers:    2,
-		LiveOnly:   true,
-	}
-	want := serialReference(t, sims.GeFINX86, "qsort", "l2.data", opt)
-	res, err := RunCampaignFor(sims.GeFINX86, "qsort", "l2.data", opt)
+	repo, err := core.NewLogsRepo(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	opt := Options{
+		Config:     core.CampaignConfig{Injections: 6, Seed: 2, Workers: 2, LiveOnly: true},
+		Benchmarks: []string{"qsort"},
+		Tools:      []string{sims.GeFINX86},
+		Logs:       repo,
+	}
+	want := serialReference(t, sims.GeFINX86, "qsort", "l2.data", opt)
+	if _, err := RunFigure(Figures[3], opt, nil); err != nil { // Fig 5: l2.data
+		t.Fatal(err)
+	}
+	res := loggedRecords(t, repo, sims.GeFINX86, "qsort", "l2.data")
 	if !reflect.DeepEqual(res.Records, want.Records) {
 		t.Fatalf("LiveOnly scheduler records differ from twin-probe reference:\n%+v\nvs\n%+v",
 			res.Records, want.Records)
+	}
+}
+
+// The figure path must honour the CampaignConfig knobs and label its
+// artifacts the way every other entry point does. Each case runs one
+// {tool, benchmark} row through RunFigure and checks that the row's
+// golden reference ran exactly once, that every trace and telemetry
+// campaign key is a log key, and the case's own knob effect.
+func TestRunFiguresHonoursConfig(t *testing.T) {
+	const n = 8
+	cases := []struct {
+		name  string
+		cfg   core.CampaignConfig
+		check func(t *testing.T, snap telemetry.Snapshot, div *divergence.Sink)
+	}{
+		{
+			name: "detail window and divergence",
+			cfg: core.CampaignConfig{
+				DetailWindow: true, WindowPre: 2000, WindowPost: 1000, WindowVerify: 4,
+				Divergence: true,
+			},
+			check: func(t *testing.T, snap telemetry.Snapshot, div *divergence.Sink) {
+				if snap.WindowedRuns == 0 {
+					t.Fatal("no windowed runs: the detail-window knobs did not reach the scheduler")
+				}
+				if div.Len() != n {
+					t.Fatalf("%d divergence records, want one per mask (%d)", div.Len(), n)
+				}
+			},
+		},
+		{
+			name: "checkpoint ladder and prune",
+			cfg:  core.CampaignConfig{UseCheckpoint: true, CheckpointLadder: 3, Prune: true},
+			check: func(t *testing.T, snap telemetry.Snapshot, _ *divergence.Sink) {
+				if snap.PrunedDead+snap.PrunedReplicated == 0 {
+					t.Fatal("nothing pruned: the prune knob did not reach the scheduler")
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			repo, err := core.NewLogsRepo(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache := core.NewGoldenCache()
+			col := telemetry.New()
+			trace := telemetry.NewTraceSink()
+			col.AddSink(trace)
+			cfg := tc.cfg
+			cfg.Injections, cfg.Seed, cfg.Workers = n, 1, 2
+			att := core.Attach{Golden: cache, Telemetry: col}
+			var div *divergence.Sink
+			if cfg.Divergence {
+				div = divergence.NewSink()
+				att.Divergence = div
+			}
+			opt := Options{
+				Config: cfg, Attach: att, Logs: repo,
+				Benchmarks: []string{"qsort"}, Tools: []string{sims.GeFINX86},
+			}
+			if _, err := RunFigure(Figures[0], opt, nil); err != nil {
+				t.Fatal(err)
+			}
+			if runs, _ := cache.Stats(); runs != 1 {
+				t.Fatalf("golden runs = %d, want 1 for one {tool, benchmark} row", runs)
+			}
+			keys, err := repo.Campaigns()
+			if err != nil {
+				t.Fatal(err)
+			}
+			logged := make(map[string]bool)
+			for _, k := range keys {
+				logged[k] = true
+			}
+			for _, rec := range trace.Records() {
+				if !logged[rec.Campaign] {
+					t.Fatalf("trace key %q is not a log key (logs: %v)", rec.Campaign, keys)
+				}
+			}
+			snap := col.Snapshot()
+			for _, row := range snap.Campaigns {
+				if key := fault.CampaignKey(row.Tool, row.Benchmark, row.Structure); !logged[key] {
+					t.Fatalf("telemetry row key %q is not a log key (logs: %v)", key, keys)
+				}
+			}
+			tc.check(t, snap, div)
+		})
 	}
 }

@@ -4,17 +4,20 @@
 // behind Figures 2–6 (faulty-behaviour classification per structure),
 // the §IV.A statistical-sampling numbers, Tables II–IV, and the runtime
 // statistics backing Remarks 1–11.
+//
+// Figure campaigns run through the same entry point as every other
+// caller: Options carries a core.CampaignConfig, RunFigures adds one cell
+// per {figure, benchmark, tool} and hands the config to core.RunConfig,
+// so every campaign knob, golden key and log key is shared with
+// faultcamp and the /v1 service.
 package report
 
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/bitarray"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sims"
@@ -48,80 +51,30 @@ func FigureByID(id int) (FigureSpec, error) {
 	return FigureSpec{}, fmt.Errorf("report: no figure %d (have 2-6)", id)
 }
 
-// Options parameterize a reproduction run.
+// Options parameterize a reproduction run. Every campaign knob lives in
+// Config — the same core.CampaignConfig faultcamp, faultcampd and the
+// /v1 service run — so the figure path honours exactly the knobs every
+// other entry point does; the fields beside it are the report's own.
 type Options struct {
-	// Injections is the number of faults per {tool, benchmark,
-	// structure} campaign; the paper uses 2000 (2.88% margin at 99%
-	// confidence). Smaller values trade accuracy for time exactly as
-	// §IV.A describes.
-	Injections int
-	// Seed drives mask generation; campaigns are fully reproducible.
-	Seed int64
+	// Config carries the campaign knobs: injections per cell (default
+	// 200; the paper uses 2000, a 2.88% margin at 99% confidence), seed,
+	// workers, fault model, checkpoints, pruning, detail windows,
+	// divergence and adaptive control. Its Campaigns are ignored:
+	// RunFigures derives one cell per {figure, benchmark, tool}.
+	Config core.CampaignConfig
+	// Attach carries the process-local resources of the run: a golden
+	// cache shared across report calls, the telemetry collector, a span
+	// tracer and a divergence sink. With no collector and a progress
+	// writer, RunFigures uses a private collector for the progress lines.
+	Attach core.Attach
 	// Benchmarks restricts the benchmark set (default: all ten).
 	Benchmarks []string
 	// Tools restricts the tool set (default: all three).
 	Tools []string
-	// Workers is the campaign worker-pool size.
-	Workers int
 	// Logs, when non-nil, persists every campaign to the repository.
 	Logs *core.LogsRepo
 	// Parser configures the classification.
 	Parser core.Parser
-	// LiveOnly restricts the fault population to entries that hold live
-	// data at the end of the golden run — the conditional-vulnerability
-	// view that factors out dead capacity. At the paper's input scale
-	// the two views converge (their caches are full of live data); at
-	// this reproduction's reduced scale LiveOnly recovers the
-	// large-structure comparisons (L2, Fig. 5) that uniform sampling
-	// over mostly-dead arrays cannot resolve.
-	LiveOnly bool
-	// UseCheckpoint shares each {tool, benchmark} row's fault-free
-	// prefix across its campaigns via a drained-machine checkpoint (see
-	// core.CampaignSpec.UseCheckpoint for the outcome caveat).
-	UseCheckpoint bool
-	// Prune enables golden-run liveness pruning (see
-	// core.MatrixOptions.Prune).
-	Prune bool
-	// PruneVerify simulates up to this many pruned masks per campaign and
-	// fails on a class mismatch; implies Prune.
-	PruneVerify int
-	// CheckpointLadder captures this many evenly spaced restore points per
-	// {tool, benchmark} row instead of the single legacy checkpoint
-	// (effective with UseCheckpoint, values >= 2).
-	CheckpointLadder int
-	// Model is the generated fault model; empty means transient (the
-	// paper's primary model).
-	Model string
-	// TimeoutFactor multiplies the fault-free cycle count to form the
-	// per-run cycle limit; 0 means the paper's 3.
-	TimeoutFactor uint64
-	// DisableEarlyStop turns off the §III.B optimizations (ablation).
-	DisableEarlyStop bool
-	// RunWallLimit bounds the host wall-clock time of a single run; 0 is
-	// off.
-	RunWallLimit time.Duration
-	// StopMargin, when positive, arms the sequential-confidence stopping
-	// rule on every campaign cell (see core.MatrixOptions.StopMargin);
-	// StopConfidence and StopCheckEvery qualify it.
-	StopMargin     float64
-	StopConfidence float64
-	StopCheckEvery int
-	// ImportanceSampling draws masks preferentially from live fault
-	// sites of the golden liveness profile, with Horvitz-Thompson
-	// weights keeping the reported proportions unbiased.
-	ImportanceSampling bool
-	// Exhaustive replaces sampling with the equivalence-class-collapsed
-	// census of the single-bit transient population (implies Prune).
-	Exhaustive bool
-	// GoldenCache, when non-nil, memoizes golden runs across report
-	// calls; by default each RunFigures/RunCampaignFor call uses a
-	// private cache.
-	GoldenCache *core.GoldenCache
-	// Telemetry, when non-nil, aggregates scheduler events across report
-	// calls (live metrics snapshots, trace sinks). When nil and a
-	// progress writer is passed, RunFigures uses a private collector to
-	// drive the periodic progress lines.
-	Telemetry *telemetry.Collector
 	// ProgressEvery sets the period of the progress reporter lines
 	// written to the progress writer (default 5s).
 	ProgressEvery time.Duration
@@ -142,73 +95,38 @@ func (o Options) tools() []string {
 }
 
 func (o Options) injections() int {
-	if o.Injections > 0 {
-		return o.Injections
+	if o.Config.Injections > 0 {
+		return o.Config.Injections
 	}
 	return 200
 }
 
-func (o Options) goldenCache() *core.GoldenCache {
-	if o.GoldenCache != nil {
-		return o.GoldenCache
+// config is the campaign matrix of a figure run: o.Config's knobs over
+// one cell per {figure, benchmark, tool}, figure-major. Each cell's seed
+// derives from the base seed, benchmark, tool and structure, so a cell's
+// masks do not depend on which other figures or tools run beside it.
+func (o Options) config(specs []FigureSpec) core.CampaignConfig {
+	cfg := o.Config
+	cfg.Injections = o.injections()
+	cfg.Campaigns = nil
+	for _, spec := range specs {
+		for _, bench := range o.benchmarks() {
+			for _, tool := range o.tools() {
+				cfg.Campaigns = append(cfg.Campaigns, core.CampaignCell{
+					Tool: tool, Benchmark: bench, Structure: spec.Structure,
+					Seed: seedFor(cfg.Seed, 0, bench, tool+spec.Structure),
+				})
+			}
+		}
 	}
-	return core.NewGoldenCache()
+	return cfg
 }
 
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) model() fault.Model {
-	if o.Model == "" {
-		return fault.ModelTransient
-	}
-	return fault.Model(o.Model)
-}
-
-func (o Options) timeoutFactor() uint64 {
-	if o.TimeoutFactor > 0 {
-		return o.TimeoutFactor
-	}
-	return 3
-}
-
-func (o Options) matrixOptions(cache *core.GoldenCache, collector *telemetry.Collector) core.MatrixOptions {
-	return core.MatrixOptions{
-		Workers: o.Workers, Golden: cache, Telemetry: collector,
-		Prune: o.Prune || o.Exhaustive, PruneVerify: o.PruneVerify, CheckpointLadder: o.CheckpointLadder,
-		RunWallLimit: o.RunWallLimit,
-		StopMargin:   o.StopMargin, StopConfidence: o.StopConfidence, StopCheckEvery: o.StopCheckEvery,
-	}
-}
-
-// OptionsFromConfig maps the shared knobs of a core.CampaignConfig —
-// the consolidated campaign API the CLIs bind their flags onto — into
-// report Options. The config's cells are ignored: the report package
-// derives its own campaign matrix from figure specs.
-func OptionsFromConfig(cfg core.CampaignConfig) Options {
-	return Options{
-		Injections:         cfg.Injections,
-		Seed:               cfg.Seed,
-		Workers:            cfg.Workers,
-		LiveOnly:           cfg.LiveOnly,
-		UseCheckpoint:      cfg.UseCheckpoint,
-		Prune:              cfg.Prune,
-		PruneVerify:        cfg.PruneVerify,
-		CheckpointLadder:   cfg.CheckpointLadder,
-		Model:              cfg.Model,
-		TimeoutFactor:      cfg.TimeoutFactor,
-		DisableEarlyStop:   cfg.DisableEarlyStop,
-		RunWallLimit:       cfg.RunWallLimit,
-		StopMargin:         cfg.StopMargin,
-		StopConfidence:     cfg.StopConfidence,
-		StopCheckEvery:     cfg.StopCheckEvery,
-		ImportanceSampling: cfg.ImportanceSampling,
-		Exhaustive:         cfg.Exhaustive,
-	}
+// Validate checks the figure matrix the options describe — the
+// config's knobs and every {figure, benchmark, tool} cell — without
+// running anything.
+func (o Options) Validate(specs []FigureSpec) error {
+	return o.config(specs).Validate()
 }
 
 // Cell is one campaign of a figure: one bar of the paper's charts.
@@ -243,113 +161,6 @@ func seedFor(base int64, fig int, bench, tool string) int64 {
 	return int64(h & (1<<62 - 1))
 }
 
-// campaignSpecFor builds the scheduler spec of one {tool, benchmark,
-// structure} campaign: golden reference and structure geometry come from
-// the memoized golden run of the row, the masks from the deterministic
-// per-campaign seed.
-func campaignSpecFor(tool, bench, structure string, opt Options, cache *core.GoldenCache) (core.CampaignSpec, error) {
-	w, err := workload.ByName(bench)
-	if err != nil {
-		return core.CampaignSpec{}, err
-	}
-	factory, err := sims.Factory(tool, w)
-	if err != nil {
-		return core.CampaignSpec{}, err
-	}
-	golden, err := cache.Golden(tool, bench, factory)
-	if err != nil {
-		return core.CampaignSpec{}, fmt.Errorf("report: golden %s/%s: %w", tool, bench, err)
-	}
-	entries, bits, ok, err := cache.Geometry(tool, bench, factory, structure)
-	if err != nil {
-		return core.CampaignSpec{}, err
-	}
-	if !ok {
-		return core.CampaignSpec{}, fmt.Errorf("report: %s has no structure %q", tool, structure)
-	}
-	genSpec := fault.GeneratorSpec{
-		Structure: structure, Entries: entries, BitsPerEntry: bits,
-		MaxCycle: golden.Cycles, Model: opt.model(),
-		Count: opt.injections(), Seed: seedFor(opt.Seed, 0, bench, tool+structure),
-	}
-	var masks []fault.Mask
-	switch {
-	case opt.Exhaustive, opt.ImportanceSampling:
-		// Both profile-driven generators read the boot liveness profile
-		// of the cell's structure — the same profile the pruner derives
-		// its plan from, so the equivalence classes agree by
-		// construction.
-		profs, perr := cache.Profiles(tool, bench, factory, nil, []string{structure})
-		if perr != nil {
-			return core.CampaignSpec{}, perr
-		}
-		var prof *bitarray.Profile
-		if len(profs) > 0 {
-			prof = profs[0][structure]
-		}
-		if prof == nil {
-			return core.CampaignSpec{}, fmt.Errorf("report: %s/%s exposes no liveness profile for %s (simulator has no cycle source)",
-				tool, bench, structure)
-		}
-		if opt.Exhaustive {
-			masks, err = fault.EnumerateExhaustive(genSpec, prof)
-		} else {
-			masks, err = fault.GenerateImportance(genSpec, prof, 0)
-		}
-	default:
-		masks, err = fault.Generate(genSpec)
-	}
-	if err != nil {
-		return core.CampaignSpec{}, err
-	}
-	if opt.LiveOnly {
-		// Remap every mask entry onto the set of entries holding live
-		// data at the end of the golden run, probed on the memoized
-		// golden machine instead of a fresh twin replay.
-		live, err := cache.LiveEntries(tool, bench, factory, structure)
-		if err != nil {
-			return core.CampaignSpec{}, err
-		}
-		if len(live) == 0 {
-			return core.CampaignSpec{}, fmt.Errorf("report: %s/%s: no live entries in %s", tool, bench, structure)
-		}
-		for i := range masks {
-			for j := range masks[i].Sites {
-				masks[i].Sites[j].Entry = live[masks[i].Sites[j].Entry%len(live)]
-			}
-		}
-	}
-	return core.CampaignSpec{
-		Tool: golden.Tool, Benchmark: bench, Structure: structure,
-		Masks: masks, Factory: factory, TimeoutFactor: opt.timeoutFactor(), Workers: opt.Workers,
-		UseCheckpoint:    opt.UseCheckpoint,
-		DisableEarlyStop: opt.DisableEarlyStop,
-		Exhaustive:       opt.Exhaustive,
-		Golden:           &golden,
-	}, nil
-}
-
-// RunCampaignFor runs one {tool, benchmark, structure} campaign.
-func RunCampaignFor(tool, bench, structure string, opt Options) (*core.CampaignResult, error) {
-	cache := opt.goldenCache()
-	spec, err := campaignSpecFor(tool, bench, structure, opt, cache)
-	if err != nil {
-		return nil, err
-	}
-	results, err := core.RunMatrix([]core.CampaignSpec{spec}, opt.matrixOptions(cache, opt.Telemetry))
-	if err != nil {
-		return nil, err
-	}
-	res := results[0]
-	if opt.Logs != nil {
-		key := fault.CampaignKey(tool, bench, structure)
-		if err := opt.Logs.Store(key, res); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
 // RunFigure reproduces one classification figure.
 func RunFigure(spec FigureSpec, opt Options, progress io.Writer) (*FigureData, error) {
 	fds, err := RunFigures([]FigureSpec{spec}, opt, progress)
@@ -359,65 +170,38 @@ func RunFigure(spec FigureSpec, opt Options, progress io.Writer) (*FigureData, e
 	return fds[0], nil
 }
 
-// RunFigures reproduces several classification figures through the
-// cross-campaign matrix scheduler: every {figure, benchmark, tool}
-// campaign is flattened into one shared run queue executed by a single
-// global worker pool, the golden reference of each {tool, benchmark} row
-// is simulated exactly once for the whole matrix, and (UseCheckpoint)
-// each row's fault-free prefix checkpoint is shared across its
-// structures. Output is deterministic for a fixed seed and identical to
-// running the campaigns one at a time.
+// RunFigures reproduces several classification figures as one campaign
+// matrix through core.RunConfig: every {figure, benchmark, tool} campaign
+// is a cell of one config, flattened into one shared run queue executed
+// by a single global worker pool; the golden reference of each {tool,
+// benchmark} row is simulated exactly once for the whole matrix, and
+// checkpoints and prune profiles are shared across the row's structures.
+// Output is deterministic for a fixed seed and identical to running the
+// campaigns one at a time.
 //
 // A non-nil progress writer receives structured periodic progress lines
 // (runs/s, Mcycles/s, worker utilization, outcome drift) from the
-// telemetry collector — opt.Telemetry when set, a private one otherwise
-// — instead of the old one-line-per-campaign prints.
+// telemetry collector — opt.Attach.Telemetry when set, a private one
+// otherwise.
 func RunFigures(specs []FigureSpec, opt Options, progress io.Writer) ([]*FigureData, error) {
-	cache := opt.goldenCache()
-	prewarmGoldens(opt, cache)
-
-	// cell identifies one campaign of the flattened matrix: which figure
-	// it belongs to plus the {tool, benchmark} ids its Cell carries.
-	type cell struct {
-		fig         int
-		tool, bench string
-		key         string
-	}
-	var cspecs []core.CampaignSpec
-	var cells []cell
-	for f, spec := range specs {
-		for _, bench := range opt.benchmarks() {
-			for _, tool := range opt.tools() {
-				cs, err := campaignSpecFor(tool, bench, spec.Structure, opt, cache)
-				if err != nil {
-					return nil, err
-				}
-				cspecs = append(cspecs, cs)
-				cells = append(cells, cell{
-					fig: f, tool: tool, bench: bench,
-					key: fault.CampaignKey(tool, bench, spec.Structure),
-				})
-			}
-		}
-	}
-
-	collector := opt.Telemetry
-	if collector == nil && progress != nil {
-		collector = telemetry.New()
-	}
-	totalRuns := 0
-	for _, cs := range cspecs {
-		totalRuns += len(cs.Masks)
+	cfg := opt.config(specs)
+	att := opt.Attach
+	if att.Telemetry == nil && progress != nil {
+		att.Telemetry = telemetry.New()
 	}
 	var rep *telemetry.Reporter
 	if progress != nil {
+		totalRuns := 0
+		for i := range cfg.Campaigns {
+			totalRuns += cfg.MaskCount(i)
+		}
 		fmt.Fprintf(progress, "matrix: %d figures, %d campaigns, %d injection runs\n",
-			len(specs), len(cspecs), totalRuns)
-		rep = telemetry.StartReporter(collector, progress, opt.ProgressEvery)
+			len(specs), len(cfg.Campaigns), totalRuns)
+		rep = telemetry.StartReporter(att.Telemetry, progress, opt.ProgressEvery)
 		defer rep.Stop()
 	}
 
-	results, err := core.RunMatrix(cspecs, opt.matrixOptions(cache, collector))
+	results, err := core.RunConfig(cfg, sims.Resolve, att)
 	if rep != nil {
 		rep.Stop()
 	}
@@ -425,59 +209,32 @@ func RunFigures(specs []FigureSpec, opt Options, progress io.Writer) ([]*FigureD
 		return nil, err
 	}
 	if progress != nil {
-		fmt.Fprintln(progress, collector.Snapshot().SummaryLine())
+		fmt.Fprintln(progress, att.Telemetry.Snapshot().SummaryLine())
 	}
+	keys := cfg.Keys()
 	if opt.Logs != nil {
 		for i, res := range results {
-			if err := opt.Logs.Store(cells[i].key, res); err != nil {
+			if err := opt.Logs.Store(keys[i], res); err != nil {
 				return nil, err
 			}
 		}
 	}
 
 	fds := make([]*FigureData, len(specs))
+	perFig := len(cfg.Campaigns) / len(specs)
 	for f, spec := range specs {
 		fds[f] = &FigureData{Spec: spec}
-	}
-	for i, res := range results {
-		c := cells[i]
-		fds[c.fig].Cells = append(fds[c.fig].Cells, Cell{
-			Tool: c.tool, Benchmark: c.bench,
-			Breakdown: opt.Parser.ParseAll(res.Records),
-			Golden:    res.Golden,
-			Adaptive:  res.Adaptive,
-		})
-	}
-	return fds, nil
-}
-
-// prewarmGoldens runs the golden reference of every {tool, benchmark}
-// row of the matrix in parallel, so rows don't serialize behind the
-// first campaign that needs each. Errors are left in the cache and
-// surface, in deterministic campaign order, when the specs are built.
-func prewarmGoldens(opt Options, cache *core.GoldenCache) {
-	sem := make(chan struct{}, opt.workers())
-	var wg sync.WaitGroup
-	for _, bench := range opt.benchmarks() {
-		for _, tool := range opt.tools() {
-			w, err := workload.ByName(bench)
-			if err != nil {
-				continue
-			}
-			factory, err := sims.Factory(tool, w)
-			if err != nil {
-				continue
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(tool, bench string, factory core.Factory) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				_, _ = cache.Golden(tool, bench, factory)
-			}(tool, bench, factory)
+		for i, res := range results[f*perFig : (f+1)*perFig] {
+			c := cfg.Campaigns[f*perFig+i]
+			fds[f].Cells = append(fds[f].Cells, Cell{
+				Tool: c.Tool, Benchmark: c.Benchmark,
+				Breakdown: opt.Parser.ParseAll(res.Records),
+				Golden:    res.Golden,
+				Adaptive:  res.Adaptive,
+			})
 		}
 	}
-	wg.Wait()
+	return fds, nil
 }
 
 // CellFor returns the cell of one benchmark and tool.
@@ -589,22 +346,17 @@ func (fd *FigureData) Render(w io.Writer) {
 func GoldenStats(opt Options) (map[string]map[string]map[string]uint64, error) {
 	out := make(map[string]map[string]map[string]uint64) // bench → tool → stats
 	for _, bench := range opt.benchmarks() {
-		w, err := workload.ByName(bench)
-		if err != nil {
-			return nil, err
-		}
 		out[bench] = make(map[string]map[string]uint64)
 		for _, tool := range opt.tools() {
-			factory, err := sims.Factory(tool, w)
+			factory, err := sims.Resolve(tool, bench)
 			if err != nil {
 				return nil, err
 			}
-			sim := factory()
-			res := sim.Run(1 << 62)
-			if res.Status != core.RunCompleted {
-				return nil, fmt.Errorf("report: golden %s/%s: %v", tool, bench, res.Status)
+			g, err := core.Golden(factory)
+			if err != nil {
+				return nil, fmt.Errorf("report: golden %s/%s: %w", tool, bench, err)
 			}
-			out[bench][tool] = sim.Stats()
+			out[bench][tool] = g.Stats
 		}
 	}
 	return out, nil

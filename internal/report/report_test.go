@@ -24,10 +24,8 @@ func TestFigureByID(t *testing.T) {
 
 func TestRunFigureMini(t *testing.T) {
 	opt := Options{
-		Injections: 12,
-		Seed:       7,
+		Config:     core.CampaignConfig{Injections: 12, Seed: 7, Workers: 2},
 		Benchmarks: []string{"qsort"},
-		Workers:    2,
 	}
 	fd, err := RunFigure(Figures[4], opt, nil) // Fig 6: LSQ
 	if err != nil {
@@ -124,8 +122,11 @@ func TestCampaignPersistsToLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Injections: 5, Benchmarks: []string{"qsort"}, Logs: repo, Workers: 2}
-	if _, err := RunCampaignFor(sims.GeFINX86, "qsort", "rf.int", opt); err != nil {
+	opt := Options{
+		Config:     core.CampaignConfig{Injections: 5, Workers: 2},
+		Benchmarks: []string{"qsort"}, Tools: []string{sims.GeFINX86}, Logs: repo,
+	}
+	if _, err := RunFigure(Figures[0], opt, nil); err != nil { // Fig 2: rf.int
 		t.Fatal(err)
 	}
 	keys, err := repo.Campaigns()
@@ -136,11 +137,17 @@ func TestCampaignPersistsToLogs(t *testing.T) {
 	if err != nil || len(back.Records) != 5 {
 		t.Fatalf("load: %v %v", back, err)
 	}
+	// The golden header names the tool as the campaign key does.
+	if back.Golden.Tool != sims.GeFINX86 {
+		t.Fatalf("golden header tool %q, want the registry name %q", back.Golden.Tool, sims.GeFINX86)
+	}
 }
 
 func TestLiveOnlyFigure(t *testing.T) {
-	opt := Options{Injections: 10, Seed: 2, Benchmarks: []string{"qsort"},
-		Tools: []string{sims.GeFINX86}, Workers: 2, LiveOnly: true}
+	opt := Options{
+		Config:     core.CampaignConfig{Injections: 10, Seed: 2, Workers: 2, LiveOnly: true},
+		Benchmarks: []string{"qsort"}, Tools: []string{sims.GeFINX86},
+	}
 	fd, err := RunFigure(Figures[3], opt, nil) // Fig 5: L2
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,10 @@ func TestLoadFigureRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Injections: 8, Seed: 3, Benchmarks: []string{"qsort"}, Logs: repo, Workers: 2}
+	opt := Options{
+		Config:     core.CampaignConfig{Injections: 8, Seed: 3, Workers: 2},
+		Benchmarks: []string{"qsort"}, Logs: repo,
+	}
 	spec := Figures[0] // Fig 2: rf.int
 	ran, err := RunFigure(spec, opt, nil)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/workload"
 )
 
@@ -101,27 +100,15 @@ func TestCheckpointRejectsForeignState(t *testing.T) {
 // fault past the checkpoint would be ideal; we assert the golden output
 // check still holds and every record lands in a defined state).
 func TestCampaignWithCheckpointMatchesOutcomeMix(t *testing.T) {
-	w, _ := workload.ByName("qsort")
-	factory, _ := Factory(GeFINX86, w)
-	golden, err := core.Golden(factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := factory()
-	arr := sim.Structures()["rf.int"]
-	masks, _ := fault.Generate(fault.GeneratorSpec{
-		Structure: "rf.int", Entries: arr.Entries(), BitsPerEntry: arr.BitsPerEntry(),
-		MaxCycle: golden.Cycles, Model: fault.ModelTransient, Count: 24, Seed: 9,
-	})
 	run := func(useCP bool) core.Breakdown {
-		res, err := core.RunCampaign(core.CampaignSpec{
-			Benchmark: "qsort", Structure: "rf.int", Masks: masks,
-			Factory: factory, UseCheckpoint: useCP, Workers: 2,
-		})
+		res, err := core.RunConfig(core.CampaignConfig{
+			Campaigns:  []core.CampaignCell{{Tool: GeFINX86, Benchmark: "qsort", Structure: "rf.int"}},
+			Injections: 24, Seed: 9, UseCheckpoint: useCP, Workers: 2,
+		}, Resolve, core.Attach{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return core.Parser{}.ParseAll(res.Records)
+		return core.Parser{}.ParseAll(res[0].Records)
 	}
 	plain := run(false)
 	ckpt := run(true)

@@ -38,6 +38,16 @@ func ShortLabel(tool string) string {
 	}
 }
 
+// Resolve is the production core.Resolver: the simulator factory of a
+// {tool, benchmark} cell, through this registry and the workload table.
+func Resolve(tool, benchmark string) (core.Factory, error) {
+	w, err := workload.ByName(benchmark)
+	if err != nil {
+		return nil, err
+	}
+	return Factory(tool, w)
+}
+
 // Factory builds a simulator factory for one tool running one benchmark.
 // The image is linked once and shared; every factory call boots a fresh
 // machine.

@@ -149,8 +149,8 @@ func (cs *CampaignStats) record(ev RunEvent) {
 }
 
 // Collector is the lock-free aggregator of campaign telemetry. One
-// Collector may span several RunMatrix calls (e.g. the five figures of a
-// full reproduction); counters only ever grow.
+// Collector may span several RunConfig calls (e.g. a figure run
+// followed by a second matrix); counters only ever grow.
 type Collector struct {
 	startNanos atomic.Int64 // wall-clock start, first Start wins
 	workers    atomic.Int64

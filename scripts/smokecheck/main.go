@@ -39,8 +39,9 @@
 //     its run total matches the stored logs.
 //
 // A second, live mode (-live URL) probes a running coordinator's
-// observability plane instead of offline artifacts: /snapshot.json and
-// /metrics must serve the aggregate, and an SSE subscription to /events
+// observability plane instead of offline artifacts: /v1/snapshot.json
+// and /v1/metrics must serve the aggregate, and an SSE subscription to
+// /v1/events
 // must open with a coherent "snapshot" frame and then stream at least
 // -min-run-frames "run" and -min-span-frames "span" frames.
 //
@@ -487,14 +488,14 @@ func readSnap(path string, s *telemetry.Snapshot) {
 }
 
 // checkLive probes a running coordinator's observability plane:
-// /snapshot.json parses, /metrics carries HELP'd exposition, and an SSE
-// subscription to /events opens with a "snapshot" frame and streams the
+// /v1/snapshot.json parses, /v1/metrics carries HELP'd exposition, and an
+// SSE subscription to /v1/events opens with a "snapshot" frame and streams the
 // required number of run and span frames before the deadline.
 func checkLive(base string, minRuns, minSpans int, timeout time.Duration) {
 	base = strings.TrimSuffix(base, "/")
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	resp, err := client.Get(base + "/snapshot.json")
+	resp, err := client.Get(base + "/v1/snapshot.json")
 	if err != nil {
 		fatal(err)
 	}
@@ -502,10 +503,10 @@ func checkLive(base string, minRuns, minSpans int, timeout time.Duration) {
 	err = json.NewDecoder(resp.Body).Decode(&snap)
 	resp.Body.Close()
 	if err != nil {
-		fatal(fmt.Errorf("/snapshot.json does not parse: %w", err))
+		fatal(fmt.Errorf("/v1/snapshot.json does not parse: %w", err))
 	}
 
-	resp, err = client.Get(base + "/metrics")
+	resp, err = client.Get(base + "/v1/metrics")
 	if err != nil {
 		fatal(err)
 	}
@@ -515,14 +516,14 @@ func checkLive(base string, minRuns, minSpans int, timeout time.Duration) {
 		fatal(err)
 	}
 	if !strings.Contains(string(metrics), "# HELP faultinject_runs_done_total") {
-		fatal(fmt.Errorf("/metrics lacks the HELP'd exposition"))
+		fatal(fmt.Errorf("/v1/metrics lacks the HELP'd exposition"))
 	}
 
 	// The SSE subscription: no client timeout (the stream is long-lived);
 	// the overall deadline instead bounds the read loop via the context.
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/events", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/events", nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -532,7 +533,7 @@ func checkLive(base string, minRuns, minSpans int, timeout time.Duration) {
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		fatal(fmt.Errorf("/events Content-Type = %q", ct))
+		fatal(fmt.Errorf("/v1/events Content-Type = %q", ct))
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -546,7 +547,7 @@ func checkLive(base string, minRuns, minSpans int, timeout time.Duration) {
 		event := strings.TrimPrefix(line, "event: ")
 		if first {
 			if event != "snapshot" {
-				fatal(fmt.Errorf("/events first frame is %q, want snapshot", event))
+				fatal(fmt.Errorf("/v1/events first frame is %q, want snapshot", event))
 			}
 			first = false
 		}
@@ -561,7 +562,7 @@ func checkLive(base string, minRuns, minSpans int, timeout time.Duration) {
 			return
 		}
 	}
-	fatal(fmt.Errorf("/events ended after %d run and %d span frames, want %d and %d (scan err: %v)",
+	fatal(fmt.Errorf("/v1/events ended after %d run and %d span frames, want %d and %d (scan err: %v)",
 		runs, spans, minRuns, minSpans, sc.Err()))
 }
 
